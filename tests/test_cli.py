@@ -198,6 +198,27 @@ class TestScrambleCli:
         assert read_image(restored) == img
 
 
+class TestMaxval:
+    def test_scramble_keeps_the_header_maxval(self, capsys, tmp_path):
+        key = make_key(tmp_path, square_size=4, overlap=0)
+        src = tmp_path / "m.pgm"
+        src.write_bytes(b"P5\n4 4\n15\n" + bytes(range(16)))
+        out = tmp_path / "s.pgm"
+        assert run(capsys, "scramble", "--key", key, "--in", str(src), "--out", str(out))[0] == 0
+        data = out.read_bytes()
+        assert data.startswith(b"P5\n4 4\n15\n")
+        assert sorted(data[-16:]) == list(range(16))
+
+    def test_sample_above_maxval_exits_3(self, capsys, tmp_path):
+        key = make_key(tmp_path, square_size=2, overlap=0)
+        src = tmp_path / "over.pgm"
+        src.write_bytes(b"P5\n2 2\n15\n\x00\x01\x02\xff")
+        code, _, err = run(capsys, "scramble", "--key", key, "--in", str(src),
+                           "--out", str(tmp_path / "o.pgm"))
+        assert code == 3
+        assert "error" in err
+
+
 class TestExitCodes:
     def test_parameter_error(self, capsys):
         code, _, err = run(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import oacm_perm
 from oacm import (
+    ImageFormatError,
     KeyConfig,
     MalformedHeaderError,
     ParameterError,
@@ -18,6 +19,7 @@ from oacm import (
     apply_iterations,
     permutation_for,
     read_image,
+    SampleRangeError,
     scramble,
     shift_pixels,
     write_image,
@@ -49,11 +51,24 @@ class TestRasterImage:
         with pytest.raises(ParameterError):
             RasterImage(2, 2, 1, np.zeros(5, dtype=np.uint8))
 
+    def test_maxval_defaults_to_255(self):
+        assert gradient_image(2, 2, 1).maxval == 255
+
+    def test_rejects_maxval_out_of_range(self):
+        for maxval in (0, 256):
+            with pytest.raises(ParameterError):
+                RasterImage(1, 1, 1, np.zeros(1, dtype=np.uint8), maxval=maxval)
+
+    def test_rejects_samples_above_maxval(self):
+        with pytest.raises(ParameterError):
+            RasterImage(1, 2, 1, np.array([3, 16], dtype=np.uint8), maxval=15)
+
     def test_equality(self):
         a = gradient_image(3, 4, 1)
         b = gradient_image(3, 4, 1)
         assert a == b
         assert a != gradient_image(4, 3, 1)
+        assert a != RasterImage(3, 4, 1, a.samples, maxval=250)
 
 
 class TestReadImage:
@@ -124,6 +139,20 @@ class TestReadImage:
             with pytest.raises(MalformedHeaderError):
                 read_image(path)
 
+    def test_maxval_is_kept(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n4 4\n15\n" + bytes(range(16)))
+        img = read_image(path)
+        assert img.maxval == 15
+        assert img.samples.tolist() == list(range(16))
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 2\n15\n\x00\x0f\x10\x00")
+        with pytest.raises(SampleRangeError):
+            read_image(path)
+        assert issubclass(SampleRangeError, ImageFormatError)
+
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01\x02")
@@ -142,6 +171,11 @@ class TestWriteImage:
         path = tmp_path / "g.pgm"
         write_image(RasterImage(1, 2, 1, np.array([7, 9], dtype=np.uint8)), path)
         assert path.read_bytes() == b"P5\n2 1\n255\n\x07\x09"
+
+    def test_maxval_written_back(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        write_image(RasterImage(1, 2, 1, np.array([3, 15], dtype=np.uint8), maxval=15), path)
+        assert path.read_bytes() == b"P5\n2 1\n15\n\x03\x0f"
 
     def test_pixmap_magic(self, tmp_path):
         path = tmp_path / "c.ppm"
@@ -227,6 +261,13 @@ class TestScramble:
         right = KeyConfig(4, 1, 1, 1, 5)
         wrong = KeyConfig(4, 2, 1, 1, 5)
         assert descramble(scramble(img, right), wrong) != img
+
+    def test_maxval_survives_scramble(self):
+        img = RasterImage(4, 4, 1, np.arange(16, dtype=np.uint8), maxval=15)
+        key = KeyConfig(4, 0, 1, 1, 1)
+        out = scramble(img, key)
+        assert out.maxval == 15
+        assert descramble(out, key) == img
 
     def test_channels_move_together(self):
         rng = np.random.default_rng(3)
