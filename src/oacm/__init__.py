@@ -36,6 +36,7 @@ from .errors import (
     OacmError,
     ParameterError,
     PeriodSearchError,
+    SampleRangeError,
     TruncatedDataError,
     UnsupportedFormatError,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "Permutation",
     "Point",
     "RasterImage",
+    "SampleRangeError",
     "SimilarityCurve",
     "Tiling",
     "TilingParams",

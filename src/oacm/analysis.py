@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
+import numpy as np
+
 from .errors import ParameterError
 from .permutation import CycleDecomposition
 
@@ -58,9 +60,19 @@ def similarity_curve(cycles: CycleDecomposition, k_max: int) -> SimilarityCurve:
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
     hist = orbit_histogram(cycles)
-    return SimilarityCurve(
-        tuple((k, _similarity_from_hist(hist, k)) for k in range(1, k_max + 1))
-    )
+    # Sieve: a length-L orbit puts its L pixels home at every multiple of L.
+    home = np.zeros(k_max + 1, dtype=np.int64)
+    for length, count in hist.bins.items():
+        home[length::length] += length * count
+    # Few distinct home counts recur across k; build each Fraction once.
+    fractions: dict[int, Fraction] = {}
+    points = []
+    for k, value in enumerate(home.tolist()[1:], start=1):
+        frac = fractions.get(value)
+        if frac is None:
+            frac = fractions[value] = Fraction(value, hist.total_pixels)
+        points.append((k, frac))
+    return SimilarityCurve(tuple(points))
 
 
 def recurrence_peaks(curve: SimilarityCurve, threshold: Fraction | float) -> list[int]:

@@ -31,3 +31,7 @@ class UnsupportedFormatError(ImageFormatError):
 
 class TruncatedDataError(ImageFormatError):
     """The pixel payload is shorter than the header promises."""
+
+
+class SampleRangeError(ImageFormatError):
+    """A sample exceeds the maxval the header declares."""

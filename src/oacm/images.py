@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     MalformedHeaderError,
     ParameterError,
+    SampleRangeError,
     TruncatedDataError,
     UnsupportedFormatError,
 )
@@ -32,30 +33,39 @@ _OTHER_NETPBM = {b"P1", b"P2", b"P3", b"P4", b"P7"}
 
 @dataclass(frozen=True, eq=False)
 class RasterImage:
-    """8-bit image; samples are row-major and channel-interleaved."""
+    """8-bit image; samples are row-major and channel-interleaved.
+
+    maxval is the netpbm white level the samples are scaled to; it is
+    written back unchanged, so a round trip keeps what the header means.
+    """
 
     height: int
     width: int
     channels: int
     samples: np.ndarray
+    maxval: int = 255
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ParameterError(f"image dimensions must be >= 1, got {self.height}x{self.width}")
         if self.channels not in (1, 3):
             raise ParameterError(f"channels must be 1 or 3, got {self.channels}")
+        if not 1 <= self.maxval <= 255:
+            raise ParameterError(f"maxval must be in [1, 255], got {self.maxval}")
         samples = np.ascontiguousarray(self.samples, dtype=np.uint8)
         object.__setattr__(self, "samples", samples)
         expected = self.height * self.width * self.channels
         if samples.shape != (expected,):
             raise ParameterError(f"expected {expected} samples, got shape {samples.shape}")
+        if self.maxval < 255 and samples.max() > self.maxval:
+            raise ParameterError(f"a sample exceeds maxval {self.maxval}")
 
     def __eq__(self, other):
         if not isinstance(other, RasterImage):
             return NotImplemented
         return (
-            (self.height, self.width, self.channels)
-            == (other.height, other.width, other.channels)
+            (self.height, self.width, self.channels, self.maxval)
+            == (other.height, other.width, other.channels, other.maxval)
             and np.array_equal(self.samples, other.samples)
         )
 
@@ -159,22 +169,25 @@ def _parse_header(data: bytes):
         raise UnsupportedFormatError(f"maxval {maxval} needs 16-bit samples; only 8-bit is supported")
     if not 1 <= maxval <= 255:
         raise MalformedHeaderError(f"maxval {maxval} out of range")
-    return _MAGIC_CHANNELS[magic], width, height, i
+    return _MAGIC_CHANNELS[magic], width, height, maxval, i
 
 
 def read_image(path) -> RasterImage:
     data = Path(path).read_bytes()
-    channels, width, height, offset = _parse_header(data)
+    channels, width, height, maxval, offset = _parse_header(data)
     count = height * width * channels
     raster = data[offset : offset + count]
     if len(raster) < count:
         raise TruncatedDataError(f"raster holds {len(raster)} bytes, header promises {count}")
-    return RasterImage(height, width, channels, np.frombuffer(raster, dtype=np.uint8))
+    samples = np.frombuffer(raster, dtype=np.uint8)
+    if maxval < 255 and samples.max() > maxval:
+        raise SampleRangeError(f"a sample exceeds the header's maxval {maxval}")
+    return RasterImage(height, width, channels, samples, maxval)
 
 
 def write_image(img: RasterImage, path) -> None:
     magic = b"P5" if img.channels == 1 else b"P6"
-    header = magic + f"\n{img.width} {img.height}\n255\n".encode()
+    header = magic + f"\n{img.width} {img.height}\n{img.maxval}\n".encode()
     Path(path).write_bytes(header + img.samples.tobytes())
 
 
@@ -185,12 +198,12 @@ def permutation_for(height: int, width: int, key: KeyConfig):
 
 
 def shift_pixels(img: RasterImage, cycles: CycleDecomposition, z: int) -> RasterImage:
-    """Move every channel z steps along the orbits (negative z moves back)."""
-    flat = img.samples.reshape(-1, img.channels)
-    out = np.empty_like(flat)
-    for c in range(img.channels):
-        out[:, c] = apply_iterations(cycles, z, np.ascontiguousarray(flat[:, c]))
-    return RasterImage(img.height, img.width, img.channels, out.reshape(-1))
+    """Move every pixel z steps along the orbits (negative z moves back).
+
+    All channels of a pixel move together in one gather.
+    """
+    out = apply_iterations(cycles, z, img.samples.reshape(-1, img.channels))
+    return RasterImage(img.height, img.width, img.channels, out.reshape(-1), img.maxval)
 
 
 def scramble(img: RasterImage, key: KeyConfig) -> RasterImage:

@@ -92,7 +92,8 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int, *, inverse: bool = Fa
     Each square applies the (p, q) cat map on its own local coordinates,
     with the modulus equal to the square side.  With inverse=True the
     decrypt-direction pass is built instead: inverse map per square,
-    squares visited in reverse order.
+    squares visited in reverse order.  Each square costs one s*s gather,
+    so a pass costs O(sum of s^2) whatever the image size.
     """
     if p < 0 or q < 0:
         raise ParameterError(f"p and q must be non-negative, got p={p}, q={q}")
@@ -103,16 +104,29 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int, *, inverse: bool = Fa
     if inverse:
         order.reverse()
 
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.int64), np.arange(h, dtype=np.int64))
-    xs = xs.ravel()
-    ys = ys.ravel()
+    # occ[y, x] is the original index of the pixel now at (y, x).  The map
+    # is the same on every square, so one local gather index serves all of
+    # them: the pixel at local (lx, ly) moves to dest, i.e. the new block
+    # reads its flat slot dest from the old block's slot (ly * s + lx).
+    lx = np.arange(s, dtype=np.int64)
+    ly = lx[:, None]
+    dest = (mat.c * lx + mat.d * ly) % s * s + (mat.a * lx + mat.b * ly) % s
+    src = np.empty(s * s, dtype=np.int64)
+    src[dest.ravel()] = np.arange(s * s, dtype=np.int64)
+    del lx, ly, dest
+
+    occ = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    before = np.empty((s, s), dtype=np.int64)
+    after = np.empty((s, s), dtype=np.int64)
+    before_flat, after_flat = before.reshape(-1), after.reshape(-1)
     for x0, y0 in order:
-        inside = (xs >= x0) & (xs < x0 + s) & (ys >= y0) & (ys < y0 + s)
-        lx = xs[inside] - x0
-        ly = ys[inside] - y0
-        xs[inside] = x0 + (mat.a * lx + mat.b * ly) % s
-        ys[inside] = y0 + (mat.c * lx + mat.d * ly) % s
-    return Permutation(h, w, ys * w + xs)
+        block = occ[y0 : y0 + s, x0 : x0 + s]
+        before[...] = block
+        np.take(before_flat, src, out=after_flat)
+        block[...] = after
+    forward = np.empty(h * w, dtype=np.int64)
+    forward[occ.ravel()] = np.arange(h * w, dtype=np.int64)
+    return Permutation(h, w, forward)
 
 
 def invert(perm: Permutation) -> Permutation:
@@ -196,15 +210,16 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
 
 
 def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.ndarray:
-    """Move every pixel of one channel buffer z steps along its orbit.
+    """Move every pixel of a buffer z steps along its orbit.
 
-    Equivalent to applying the underlying permutation z times; negative z
-    walks orbits backwards.
+    The buffer is (N,) for one channel or (N, C) with the C samples of a
+    pixel on one row; rows move as a whole.  Equivalent to applying the
+    underlying permutation z times; negative z walks orbits backwards.
     """
     src = np.asarray(src)
     n = cycles.height * cycles.width
-    if src.shape != (n,):
-        raise ParameterError(f"buffer must have shape ({n},), got {src.shape}")
+    if src.ndim not in (1, 2) or src.shape[0] != n:
+        raise ParameterError(f"buffer must have shape ({n},) or ({n}, C), got {src.shape}")
     out = np.empty_like(src)
     out[cycles.iterated_forward(z)] = src
     return out

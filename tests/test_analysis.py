@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import oacm_perm, single_square, small_configs, synthetic_cycles
 from oacm import (
@@ -107,6 +108,22 @@ class TestCurve:
     def test_rejects_non_positive_k_max(self):
         with pytest.raises(ParameterError):
             similarity_curve(cycle_decompose(Permutation.identity(2, 2)), 0)
+
+    @given(small_configs(), st.integers(1, 300))
+    def test_every_point_matches_similarity_at(self, config, k_max):
+        h, w, s, o, p, q = config
+        cycles = cycle_decompose(oacm_perm(h, w, s, o, p, q))
+        curve = similarity_curve(cycles, k_max)
+        assert [k for k, _ in curve.points] == list(range(1, k_max + 1))
+        for k in range(1, k_max + 1):
+            assert curve.points[k - 1][1] == similarity_at(cycles, k)
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=12), st.integers(1, 400))
+    def test_synthetic_lengths_match_similarity_at(self, lengths, k_max):
+        cycles = synthetic_cycles(lengths)
+        curve = similarity_curve(cycles, k_max)
+        for k in range(1, k_max + 1):
+            assert curve.points[k - 1][1] == similarity_at(cycles, k)
 
 
 class TestRecurrencePeaks:

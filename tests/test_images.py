@@ -12,6 +12,7 @@ from oacm import (
     MalformedHeaderError,
     ParameterError,
     RasterImage,
+    SampleRangeError,
     TruncatedDataError,
     UnsupportedFormatError,
     cycle_decompose,
@@ -19,7 +20,6 @@ from oacm import (
     apply_iterations,
     permutation_for,
     read_image,
-    SampleRangeError,
     scramble,
     shift_pixels,
     write_image,
@@ -36,10 +36,11 @@ def images(draw):
     height = draw(st.integers(1, 24))
     width = draw(st.integers(1, 24))
     channels = draw(st.sampled_from([1, 3]))
+    maxval = draw(st.sampled_from([255, 1, 15, 200]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    samples = rng.integers(0, 256, height * width * channels, dtype=np.uint8)
-    return RasterImage(height, width, channels, samples)
+    samples = rng.integers(0, maxval + 1, height * width * channels, dtype=np.uint8)
+    return RasterImage(height, width, channels, samples, maxval)
 
 
 class TestRasterImage:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import oacm_perm, single_square, small_configs
+from helpers import mask_build_reference, oacm_perm, single_square, small_configs
 from oacm import (
     AcmParams,
     ParameterError,
     Permutation,
+    TilingParams,
     apply_iterations,
     build_oacm_permutation,
     compose,
@@ -17,6 +18,7 @@ from oacm import (
     image_period,
     invert,
     matrix_period,
+    square_locations,
 )
 
 
@@ -77,6 +79,26 @@ class TestBuild:
                         fwd = oacm_perm(h, w, s, o, p, q)
                         bwd = oacm_perm(h, w, s, o, p, q, inverse=True)
                         assert bwd == invert(fwd), (h, w, s, o, p, q)
+
+
+class TestMatchesMaskReference:
+    @given(small_configs())
+    def test_small_configs(self, config):
+        h, w, s, o, p, q = config
+        tiling = square_locations(TilingParams(h, w, s, o))
+        for inverse in (False, True):
+            assert build_oacm_permutation(tiling, p, q, inverse=inverse) == mask_build_reference(
+                tiling, p, q, inverse=inverse
+            ), (config, inverse)
+
+    def test_dense_cover(self):
+        # Step 1: every pixel away from the border lies in 64 squares.
+        tiling = square_locations(TilingParams(24, 32, 8, 7))
+        assert len(tiling.squares) == 17 * 25
+        for inverse in (False, True):
+            assert build_oacm_permutation(tiling, 2, 3, inverse=inverse) == mask_build_reference(
+                tiling, 2, 3, inverse=inverse
+            )
 
 
 class TestInvertCompose:
@@ -186,6 +208,19 @@ class TestApplyIterations:
         cycles = cycle_decompose(Permutation.identity(3, 3))
         with pytest.raises(ParameterError):
             apply_iterations(cycles, 1, np.zeros(8))
+        with pytest.raises(ParameterError):
+            apply_iterations(cycles, 1, np.zeros((8, 3)))
+        with pytest.raises(ParameterError):
+            apply_iterations(cycles, 1, np.zeros((9, 1, 1)))
+
+    def test_multichannel_rows_move_like_each_channel(self):
+        cycles = cycle_decompose(oacm_perm(7, 9, 4, 2, p=2, q=3))
+        rng = np.random.default_rng(2)
+        src = rng.integers(0, 256, (63, 3), dtype=np.uint8)
+        for z in (1, 17, -5, 10**40):
+            out = apply_iterations(cycles, z, src)
+            for c in range(3):
+                assert np.array_equal(out[:, c], apply_iterations(cycles, z, src[:, c].copy()))
 
     def test_values_conserved(self):
         cycles = cycle_decompose(oacm_perm(7, 11, 5, 1, p=4, q=2))
