@@ -54,7 +54,6 @@ from .landau import (
     DEFAULT_CEILING,
     LandauResult,
     landau_g,
-    landau_g_bruteforce,
     period_bound_for_image,
 )
 from .permutation import (
@@ -102,7 +101,6 @@ __all__ = [
     "inverse_map_matrix",
     "invert",
     "landau_g",
-    "landau_g_bruteforce",
     "mantissa_exponent",
     "map_matrix",
     "mat_power_mod",

@@ -8,6 +8,7 @@ safe for any lattice side this package targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,17 +120,40 @@ def mat_power_mod(m: Mat2, z: int) -> Mat2:
     return result
 
 
-def matrix_period(params: AcmParams) -> int:
-    """Smallest P >= 1 with A**P = I mod n.
+def _factor(m: int) -> dict[int, int]:
+    """Prime -> exponent for m >= 1, by trial division."""
+    factors: dict[int, int] = {}
+    r = 2
+    while r * r <= m:
+        while m % r == 0:
+            factors[r] = factors.get(r, 0) + 1
+            m //= r
+        r += 1
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
 
-    The period of the map matrix never exceeds 3n, so the search is
-    capped there; exceeding the cap raises PeriodSearchError.
+
+def matrix_period(params: AcmParams) -> int:
+    """Smallest P >= 1 with A**P = I mod n, found by order reduction.
+
+    The order of any determinant-1 matrix mod p**e divides p**e * (p*p - 1),
+    so M = lcm over p**e || n of p**e * (p*p - 1) is a multiple of the
+    period (Dyson and Falk, "Period of a discrete cat mapping", Amer. Math.
+    Monthly 1992, who also show P <= 3n).  Each prime r of M is divided out
+    while A**(M/r) is still the identity, which leaves the smallest period.
+    Every factorization is by trial division up to sqrt(n + 1).
     """
     a = map_matrix(params)
     ident = Mat2.identity(params.n)
-    acc = ident
-    for k in range(1, 3 * params.n + 1):
-        acc = acc @ a
-        if acc == ident:
-            return k
-    raise PeriodSearchError(f"no period within 3n = {3 * params.n} for n = {params.n}")
+    period = 1
+    primes: set[int] = set()
+    for p, e in _factor(params.n).items():
+        period = math.lcm(period, p**e * (p * p - 1))
+        primes.update((p,), _factor(p - 1), _factor(p + 1))
+    if mat_power_mod(a, period) != ident:
+        raise PeriodSearchError(f"A**{period} is not the identity mod n = {params.n}")
+    for r in primes:
+        while period % r == 0 and mat_power_mod(a, period // r) == ident:
+            period //= r
+    return period

@@ -1,19 +1,20 @@
 """Maximal permutation order on n elements (Landau's function).
 
 g(n) is the largest LCM over all integer partitions of n and bounds the
-period of any pixel permutation on n pixels.  The optimum is always a
-product of prime powers of distinct primes summing to at most n (the rest
-of the partition is padding 1s), so g(n) is computed by a knapsack over
-prime powers and the witnessing partition is read back off g(n)'s own
-factorization.
+period of any pixel permutation on n pixels.  The optimum is a product of
+powers of distinct primes whose sum is at most n (the rest of the partition
+is padding 1s), so g(n) is a knapsack in which each prime contributes at
+most one of its powers.  The largest prime dividing g(n) is below
+1.328 * sqrt(n ln n) (Massias, Nicolas & Robin, Math. Comp. 1989), so only
+primes up to a bound with margin over that take part.
 
-The knapsack runs exactly: primes small enough to appear in an optimum are
-processed with big-integer arithmetic outright (in bounded chunks, so peak
-memory stays near the size of the table itself), and the long tail of
-large primes -- each a single candidate power, never an improvement in
-practice -- is verified by grouped log-space sweeps whose rare survivors
-are re-checked with exact comparisons.  Near-ties inside the float margin
-can never misorder the result.
+The knapsack runs in float64 log space and keeps no back-pointers.  To
+rebuild the parts exactly, the primes are split in halves, one float pass
+over each half gives the best log for every sum of parts, the budget is
+split where the two halves together do best, and each half is solved again
+on its share, down to single primes.  Memory stays O(n) and the work is
+about two float passes.  Every split within _TIE in log of the best is
+solved and the products are compared as integers, so the result is exact.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ import numpy as np
 
 from .errors import ParameterError
 
-DEFAULT_CEILING = 1 << 20
+DEFAULT_CEILING = 1920 * 1080
 
-_LN2 = math.log(2.0)
-# Screening margin for float log comparisons.  The log table is accurate to
-# ~1e-12, so anything this close to a tie goes through an exact big-integer
-# re-check; widening the window only adds cheap re-checks.
-_LOG_TIE_EPS = 1e-9
-# Exact-phase candidates are produced in blocks this long so the transient
-# products never amount to a second copy of the table.
-_CHUNK = 1 << 17
+# Up to the default ceiling a float log here is a sum of at most ~1,040
+# terms below 2**13, each addition off by at most half an ulp (4.6e-13), so
+# it lies within 5e-10 of its exact value and the best split scores within
+# 1e-9 of the top.  Every split within _TIE of the top is solved exactly.
+_TIE = 1e-8
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -61,107 +60,51 @@ def _sieve(limit: int) -> list[int]:
     return [int(p) for p in np.nonzero(mask)[0]]
 
 
-def _log_big(x: int) -> float:
-    """Natural log of a positive int, safe beyond float range."""
-    bl = x.bit_length()
-    if bl <= 512:
-        return math.log(x)
-    return math.log(x >> (bl - 64)) + (bl - 64) * _LN2
-
-
-def _max_order_table(n: int) -> list[int]:
-    """table[j] = g(j) for every 0 <= j <= n, exactly."""
-    primes = _sieve(n)
-    val = np.empty(n + 1, dtype=object)
-    val[:] = 1
-
-    # Exact big-integer passes over every prime small enough to carry the
-    # optimum.  The bound keeps every prime with more than one usable power
-    # (p <= isqrt(n)) and clears the largest prime factor ever appearing in
-    # g(j) for j <= n (< 1.328*sqrt(n ln n), a known bound) with margin;
-    # the sweeps below re-check the cut, so it only tunes speed.
-    exact_bound = max(64, math.isqrt(n) + 1, round(1.5 * math.sqrt(n * math.log(max(n, 2)))))
-    i = 0
-    while i < len(primes) and primes[i] <= exact_bound:
-        p = primes[i]
-        base = val.copy()  # candidates must not see powers of p already placed
-        power = p
-        while power <= n:
-            for lo in range(0, n + 1 - power, _CHUNK):
-                hi = min(lo + _CHUNK, n + 1 - power)
-                cand = base[lo:hi] * power
-                tail = val[power + lo : power + hi]
-                np.maximum(tail, cand, out=tail)
-            power *= p
-        i += 1
-
-    vals: list[int] = val.tolist()
-    del val
-
-    # Verification sweeps over the remaining primes (one power each, since
-    # p > isqrt(n)).  Groups of near-equal primes share one vectorized
-    # screen: the table is non-decreasing, so within a group log candidates
-    # are bounded by the smallest shift and the largest prime.  Survivors
-    # are re-checked exactly; a prime already dividing its source would
-    # need its square in the partition, which no budget <= n can afford,
-    # so those candidates are invalid rather than improvements.  Any change
-    # triggers another full round, so the returned table is a fixpoint of
-    # every single-prime move no matter where the exact phase was cut.
-    logs = np.array([_log_big(v) for v in vals], dtype=np.float64)
-    tail_primes = primes[i:]
-    groups = []
-    lo = 0
-    while lo < len(tail_primes):
-        hi = lo + 1
-        limit = tail_primes[lo] + max(tail_primes[lo] // 16, 64)
-        while hi < len(tail_primes) and tail_primes[hi] <= limit:
-            hi += 1
-        groups.append((lo, hi))
-        lo = hi
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in groups:
-            p_lo, p_hi = tail_primes[lo], tail_primes[hi - 1]
-            margin = logs[: n + 1 - p_lo] + (math.log(p_hi) + _LOG_TIE_EPS) - logs[p_lo:]
-            for idx in np.nonzero(margin > 0.0)[0][::-1]:  # descending: one power per prime
-                j = int(idx) + p_lo
-                for p in tail_primes[lo:hi]:
-                    if p > j:
-                        break
-                    source = vals[j - p]
-                    if source % p == 0:
-                        continue
-                    cand = source * p
-                    if cand > vals[j]:
-                        vals[j] = cand
-                        logs[j] = _log_big(cand)
-                        changed = True
-        if changed:
-            # repair monotonicity so the next round's group bounds hold
-            for j in range(1, n + 1):
-                if vals[j] < vals[j - 1]:
-                    vals[j] = vals[j - 1]
-                    logs[j] = logs[j - 1]
-    return vals
-
-
-def _series_of(g: int, n: int) -> tuple[int, ...]:
-    """Maximal prime-power divisors of g (1-parts omitted)."""
-    parts = []
-    rem = g
-    for p in _sieve(n):
-        if rem == 1:
-            break
-        if rem % p == 0:
-            pk = 1
-            while rem % p == 0:
-                rem //= p
+def _knapsack(primes: list[int], m: int) -> np.ndarray:
+    """best[j]: largest log of a product of powers of distinct primes from
+    primes whose sum is exactly j, or -inf where no such product exists."""
+    best = np.full(m + 1, -np.inf)
+    best[0] = 0.0
+    cand = np.empty(min(m + 1, _CHUNK))
+    power_cand = np.empty_like(cand)
+    for p in primes:
+        log_p = math.log(p)
+        # Sums are updated one cache-sized chunk at a time from the top down,
+        # so every candidate extends a sum that holds no power of p yet.
+        for hi in range(m + 1, p, -_CHUNK):
+            lo = max(hi - _CHUNK, p)
+            c = cand[: hi - lo]
+            np.add(best[lo - p : hi - p], log_p, out=c)
+            pk, k = p * p, 2
+            while pk < hi:
+                s = max(lo, pk)
+                e = power_cand[: hi - s]
+                np.add(best[s - pk : hi - pk], k * log_p, out=e)
+                np.maximum(c[s - lo :], e, out=c[s - lo :])
                 pk *= p
-            parts.append(pk)
-    if rem != 1:
-        raise AssertionError(f"g({n}) has a prime factor above n")
-    return tuple(sorted(parts))
+                k += 1
+            np.maximum(best[lo:hi], c, out=best[lo:hi])
+    return best
+
+
+def _solve(primes: list[int], m: int) -> list[int]:
+    """Powers of distinct primes from primes, summing to at most m, with the
+    largest product."""
+    if not primes:
+        return []
+    if len(primes) == 1:  # the largest power of the prime that fits
+        p = pk = primes[0]
+        while pk * p <= m:
+            pk *= p
+        return [pk] if pk <= m else []
+    low, high = primes[: len(primes) // 2], primes[len(primes) // 2 :]
+    high_best = _knapsack(high, m)
+    np.maximum.accumulate(high_best, out=high_best)  # parts summing to at most m - j
+    score = _knapsack(low, m)
+    score += high_best[::-1]
+    near = np.flatnonzero(score >= score.max() - _TIE)
+    del high_best, score
+    return max((_solve(low, int(j)) + _solve(high, m - int(j)) for j in near), key=math.prod)
 
 
 def landau_g(n: int, *, ceiling: int = DEFAULT_CEILING) -> LandauResult:
@@ -170,29 +113,9 @@ def landau_g(n: int, *, ceiling: int = DEFAULT_CEILING) -> LandauResult:
         raise ParameterError(f"n must be >= 1, got {n}")
     if n > ceiling:
         raise ParameterError(f"n = {n} exceeds the configured ceiling {ceiling}")
-    g = _max_order_table(n)[n]
-    return LandauResult(n, g, _series_of(g, n))
-
-
-def landau_g_bruteforce(n: int) -> int:
-    """Max LCM over every integer partition of n, by exhaustive enumeration.
-
-    Independent oracle for landau_g; partition counts explode, so n is
-    capped at 40.
-    """
-    if not 1 <= n <= 40:
-        raise ParameterError(f"bruteforce oracle only supports 1 <= n <= 40, got {n}")
-    best = 1
-
-    def rec(remaining: int, max_part: int, acc: int):
-        nonlocal best
-        if acc > best:
-            best = acc
-        for part in range(min(remaining, max_part), 1, -1):
-            rec(remaining - part, part, math.lcm(acc, part))
-
-    rec(n, n, 1)
-    return best
+    bound = max(64, round(1.5 * math.sqrt(n * math.log(n))))
+    series = tuple(sorted(_solve(_sieve(min(n, bound)), n)))
+    return LandauResult(n, math.prod(series), series)
 
 
 def period_bound_for_image(height: int, width: int, *, ceiling: int = DEFAULT_CEILING) -> LandauResult:

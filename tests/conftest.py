@@ -1,6 +1,3 @@
-import os
-
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -11,11 +8,3 @@ settings.register_profile(
 )
 settings.load_profile("package")
 
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("OACM_EXPENSIVE"):
-        return
-    skip = pytest.mark.skip(reason="set OACM_EXPENSIVE=1 to run multi-minute checks")
-    for item in items:
-        if "expensive" in item.keywords:
-            item.add_marker(skip)

@@ -1,4 +1,6 @@
-"""Shared builders for the test modules."""
+"""Shared builders and reference oracles for the test modules."""
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from oacm import (
     AcmParams,
     CycleDecomposition,
+    Mat2,
     ParameterError,
     Permutation,
     TilingParams,
@@ -68,3 +71,54 @@ def small_configs(draw, max_pixels=1024):
     p = draw(st.integers(0, 5))
     q = draw(st.integers(0, 5))
     return height, width, size, overlap, p, q
+
+
+def matrix_period_linear(params):
+    """Smallest P >= 1 with A**P = I, by multiplying A up to 3n times.
+
+    Oracle for matrix_period; the period never exceeds 3n (Dyson-Falk).
+    """
+    a = map_matrix(params)
+    ident = Mat2.identity(params.n)
+    acc = ident
+    for k in range(1, 3 * params.n + 1):
+        acc = acc @ a
+        if acc == ident:
+            return k
+    raise AssertionError(f"no period within 3n for n = {params.n}")
+
+
+def landau_table_reference(n):
+    """g(j) for every 0 <= j <= n: an exact knapsack over every prime power up to n."""
+    table = [1] * (n + 1)
+    for p in range(2, n + 1):
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        before = table[:]  # at most one power of p per partition
+        pk = p
+        while pk <= n:
+            for j in range(pk, n + 1):
+                table[j] = max(table[j], before[j - pk] * pk)
+            pk *= p
+    return table
+
+
+def landau_g_bruteforce(n):
+    """Max LCM over every integer partition of n, by exhaustive enumeration.
+
+    Independent oracle for landau_g; partition counts explode, so n is
+    capped at 40.
+    """
+    if not 1 <= n <= 40:
+        raise ParameterError(f"bruteforce oracle only supports 1 <= n <= 40, got {n}")
+    best = 1
+
+    def rec(remaining, max_part, acc):
+        nonlocal best
+        if acc > best:
+            best = acc
+        for part in range(min(remaining, max_part), 1, -1):
+            rec(remaining - part, part, math.lcm(acc, part))
+
+    rec(n, n, 1)
+    return best

@@ -4,18 +4,16 @@ One test per claim: the classic-map period table, the period relations,
 exact big-integer periods of the two-square and four-square covers, the
 scan/naive equivalence, matrix vs orbit periods, similarity correctness
 with the dominant-orbit recurrence peak, the maximal-order function with
-its period bound, and byte-exact scramble round trips.  Anything needing
-minutes of runtime is marked expensive (enable with OACM_EXPENSIVE=1).
+its period bound, and byte-exact scramble round trips.
 """
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oacm_perm, single_square, small_configs
+from helpers import landau_g_bruteforce, oacm_perm, single_square, small_configs
 from oacm import (
     AcmParams,
     KeyConfig,
@@ -30,10 +28,10 @@ from oacm import (
     descramble,
     image_period,
     landau_g,
-    landau_g_bruteforce,
     mantissa_exponent,
     matrix_period,
     orbit_histogram,
+    period_bound_for_image,
     read_image,
     scientific,
     scramble,
@@ -248,19 +246,14 @@ def test_small_cover_periods_respect_maximal_order_bound():
         assert period <= landau_g(h * w).g, (h, w, s, o, p, q)
 
 
-@pytest.mark.expensive
 def test_maximal_order_at_half_megapixel_and_large_cover_bounds():
-    # One cumulative table gives the maximal order for every pixel count
-    # at or below the largest cover, so all the bound checks share it.
-    from oacm.landau import _max_order_table
-
-    table = _max_order_table(1920 * 1080)
-    assert mantissa_exponent(table[262144]) == (43, 826)
-    assert landau_g(262144).g == table[262144]
+    g_half_megapixel = landau_g(262144).g
+    assert mantissa_exponent(g_half_megapixel) == (43, 826)
+    assert period_bound_for_image(512, 512).g == g_half_megapixel
     for w, h, expected in TWO_SQUARE_ROWS:
-        assert cover_period(h, w, h, 2 * h - w) <= table[w * h], (w, h)
+        assert cover_period(h, w, h, 2 * h - w) <= period_bound_for_image(h, w).g, (w, h)
     for n, s, expected in FOUR_SQUARE_ROWS:
-        assert cover_period(n, n, s, 2 * s - n) <= table[n * n], (n, s)
+        assert cover_period(n, n, s, 2 * s - n) <= period_bound_for_image(n, n).g, (n, s)
 
 
 def test_scramble_round_trip_byte_exact(tmp_path, capsys):

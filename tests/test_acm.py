@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import matrix_period_linear
 from oacm import (
     AcmParams,
     Mat2,
@@ -158,3 +159,8 @@ class TestMatrixPeriod:
     def test_period_within_three_n(self):
         for n in range(1, 257):
             assert matrix_period(AcmParams(1, 1, n)) <= 3 * n
+
+    @given(st.integers(1, 600), st.integers(0, 5), st.integers(0, 5))
+    def test_matches_linear_search(self, n, p, q):
+        params = AcmParams(p, q, n)
+        assert matrix_period(params) == matrix_period_linear(params)

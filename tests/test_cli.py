@@ -130,6 +130,11 @@ class TestAcmPeriod:
         assert code == 0
         assert int(out) == matrix_period(AcmParams(2, 3, 50))
 
+    def test_large_prime_side(self, capsys):
+        # 200003 is prime and -2 mod 5, so the period is side + 1.
+        code, out, _ = run(capsys, "acm-period", "--n", "200003")
+        assert (code, out) == (0, "200004\n")
+
 
 class TestScrambleCli:
     def test_round_trip(self, capsys, tmp_path):

@@ -4,11 +4,11 @@ import math
 
 import pytest
 
+from helpers import landau_g_bruteforce, landau_table_reference
 from oacm import (
     DEFAULT_CEILING,
     ParameterError,
     landau_g,
-    landau_g_bruteforce,
     period_bound_for_image,
 )
 
@@ -39,6 +39,19 @@ class TestLandauG:
     def test_matches_bruteforce(self):
         for n in range(1, 41):
             assert landau_g(n).g == landau_g_bruteforce(n), n
+
+    def test_matches_exact_knapsack(self):
+        table = landau_table_reference(3000)
+        for n in range(1, 3001):
+            assert landau_g(n).g == table[n], n
+
+    def test_exact_when_splits_are_near_ties(self, monkeypatch):
+        # A tie window of 0.3 in log makes many budget splits ambiguous, so
+        # the answer rests on the exact comparison of every candidate split.
+        monkeypatch.setattr("oacm.landau._TIE", 0.3)
+        table = landau_table_reference(300)
+        for n in range(1, 301):
+            assert landau_g(n).g == table[n], n
 
     def test_monotone(self):
         values = [landau_g(n).g for n in range(1, 121)]
