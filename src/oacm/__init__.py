@@ -61,12 +61,10 @@ from .permutation import (
     Permutation,
     apply_iterations,
     build_oacm_permutation,
-    compose,
     cycle_decompose,
     image_period,
-    invert,
 )
-from .tiling import Tiling, TilingParams, square_count, square_locations
+from .tiling import Tiling, TilingParams, square_locations
 
 __all__ = [
     "AcmParams",
@@ -94,12 +92,10 @@ __all__ = [
     "acm_map",
     "apply_iterations",
     "build_oacm_permutation",
-    "compose",
     "cycle_decompose",
     "descramble",
     "image_period",
     "inverse_map_matrix",
-    "invert",
     "landau_g",
     "mantissa_exponent",
     "map_matrix",
@@ -115,7 +111,6 @@ __all__ = [
     "shift_pixels",
     "similarity_at",
     "similarity_curve",
-    "square_count",
     "square_locations",
     "write_histogram_csv",
     "write_image",

@@ -22,6 +22,12 @@ class Point(NamedTuple):
     y: int
 
 
+def check_map_params(p: int, q: int) -> None:
+    """Refuse a negative map parameter."""
+    if p < 0 or q < 0:
+        raise ParameterError(f"p and q must be non-negative, got p={p}, q={q}")
+
+
 @dataclass(frozen=True)
 class AcmParams:
     """Map parameters (p, q) on an n x n lattice, stored reduced mod n."""
@@ -33,8 +39,7 @@ class AcmParams:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"lattice side must be >= 1, got {self.n}")
-        if self.p < 0 or self.q < 0:
-            raise ParameterError(f"p and q must be non-negative, got p={self.p}, q={self.q}")
+        check_map_params(self.p, self.q)
         object.__setattr__(self, "p", self.p % self.n)
         object.__setattr__(self, "q", self.q % self.n)
 

@@ -1,7 +1,7 @@
 """Command-line frontend.
 
 Exit codes: 0 on success, 2 on parameter errors, 3 on I/O or image format
-errors.
+errors, 4 when the request does not fit in memory.
 """
 
 from __future__ import annotations
@@ -19,15 +19,9 @@ from .analysis import (
 )
 from .bigfmt import scientific
 from .errors import ImageFormatError, ParameterError
-from .images import KeyConfig, permutation_for, read_image, shift_pixels, write_image
+from .images import KeyConfig, descramble, read_image, scramble, write_image
 from .landau import landau_g
-from .permutation import (
-    CycleDecomposition,
-    Permutation,
-    build_oacm_permutation,
-    cycle_decompose,
-    image_period,
-)
+from .permutation import CycleDecomposition, build_oacm_permutation, cycle_decompose, image_period
 from .tiling import TilingParams, square_locations
 
 
@@ -110,40 +104,16 @@ def _load_key(path: str) -> KeyConfig:
     return KeyConfig.from_json(Path(path).read_text())
 
 
-def _permutation_with_cache(height: int, width: int, key: KeyConfig, cache_dir) -> Permutation:
-    if cache_dir is None:
-        return permutation_for(height, width, key)
-    cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    name = f"perm-{height}x{width}-s{key.square_size}-o{key.overlap}-p{key.p}-q{key.q}.bin"
-    path = cache / name
-    if path.exists():
-        try:
-            perm = Permutation.from_bytes(path.read_bytes())
-            if (perm.height, perm.width) == (height, width):
-                return perm
-        except ParameterError:
-            pass  # stale or corrupt cache entry: rebuild below
-    perm = permutation_for(height, width, key)
-    path.write_bytes(perm.to_bytes())
-    return perm
-
-
-def _run_scramble(args, direction: int) -> int:
+def cmd_scramble(args) -> int:
     key = _load_key(args.key)
-    img = read_image(args.input)
-    perm = _permutation_with_cache(img.height, img.width, key, args.cache_dir)
-    cycles = cycle_decompose(perm)
-    write_image(shift_pixels(img, cycles, direction * key.iterations), args.out)
+    write_image(scramble(read_image(args.input), key), args.out)
     return 0
 
 
-def cmd_scramble(args) -> int:
-    return _run_scramble(args, 1)
-
-
 def cmd_descramble(args) -> int:
-    return _run_scramble(args, -1)
+    key = _load_key(args.key)
+    write_image(descramble(read_image(args.input), key), args.out)
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--key", required=True, help="JSON key file")
         sp.add_argument("--in", dest="input", required=True, help="input image (P5/P6)")
         sp.add_argument("--out", required=True, help="output image path")
-        sp.add_argument("--cache-dir", help="directory for cached permutations")
         sp.set_defaults(func=func)
 
     return parser
@@ -204,6 +173,10 @@ def main(argv=None) -> int:
     except (ImageFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ class ParameterError(OacmError, ValueError):
 
 
 class PeriodSearchError(OacmError, RuntimeError):
-    """No matrix period found within the 3N safety bound.
+    """A**M is not the identity for the multiple M of the period.
 
-    The bound is a proven property of the map family, so hitting it
-    signals a broken implementation rather than a bad input.
+    matrix_period starts from M = lcm over p**e || n of p**e * (p*p - 1),
+    a proven multiple of the order of every determinant-1 matrix mod n, so
+    this signals a broken implementation rather than a bad input.
     """
 
 

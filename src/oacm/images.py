@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .acm import check_map_params
 from .errors import (
     MalformedHeaderError,
     ParameterError,
@@ -25,7 +26,7 @@ from .permutation import (
     build_oacm_permutation,
     cycle_decompose,
 )
-from .tiling import TilingParams, square_locations
+from .tiling import TilingParams, check_square, square_locations
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 _OTHER_NETPBM = {b"P1", b"P2", b"P3", b"P4", b"P7"}
@@ -86,14 +87,10 @@ class KeyConfig:
     iterations: int
 
     def __post_init__(self):
-        if self.square_size < 1:
-            raise ParameterError(f"square size must be >= 1, got {self.square_size}")
-        if not 0 <= self.overlap < self.square_size:
-            raise ParameterError(
-                f"overlap {self.overlap} must be in [0, square size = {self.square_size})"
-            )
-        if self.p < 0 or self.q < 0:
-            raise ParameterError(f"p and q must be non-negative, got p={self.p}, q={self.q}")
+        # TilingParams checks the square again against the image; checking
+        # here refuses a bad key before any image is read
+        check_square(self.square_size, self.overlap)
+        check_map_params(self.p, self.q)
         if self.iterations < 0:
             raise ParameterError(f"iterations must be >= 0, got {self.iterations}")
 
@@ -206,13 +203,16 @@ def shift_pixels(img: RasterImage, cycles: CycleDecomposition, z: int) -> Raster
     return RasterImage(img.height, img.width, img.channels, out.reshape(-1), img.maxval)
 
 
+def _shift_by_key(img: RasterImage, key: KeyConfig, z: int) -> RasterImage:
+    cycles = cycle_decompose(permutation_for(img.height, img.width, key))
+    return shift_pixels(img, cycles, z)
+
+
 def scramble(img: RasterImage, key: KeyConfig) -> RasterImage:
     """Apply key.iterations passes of the keyed scramble to every channel."""
-    cycles = cycle_decompose(permutation_for(img.height, img.width, key))
-    return shift_pixels(img, cycles, key.iterations)
+    return _shift_by_key(img, key, key.iterations)
 
 
 def descramble(img: RasterImage, key: KeyConfig) -> RasterImage:
     """Exact inverse of scramble with the same key."""
-    cycles = cycle_decompose(permutation_for(img.height, img.width, key))
-    return shift_pixels(img, cycles, -key.iterations)
+    return _shift_by_key(img, key, -key.iterations)

@@ -10,7 +10,6 @@ at O(1) cost per pixel regardless of z.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +17,6 @@ import numpy as np
 from .acm import AcmParams, inverse_map_matrix, map_matrix
 from .errors import ParameterError
 from .tiling import Tiling
-
-_MAGIC = b"OACM1"
-_HEADER = struct.Struct("<II")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,27 +49,6 @@ class Permutation:
     def identity(cls, height: int, width: int) -> "Permutation":
         return cls(height, width, np.arange(height * width, dtype=np.int64))
 
-    def to_bytes(self) -> bytes:
-        """Flat binary form: magic, u32 height, u32 width, u64 LE indices."""
-        return (
-            _MAGIC
-            + _HEADER.pack(self.height, self.width)
-            + self.forward.astype("<u8").tobytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Permutation":
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise ParameterError("bad magic: not a serialized permutation")
-        off = len(_MAGIC)
-        h, w = _HEADER.unpack_from(data, off)
-        off += _HEADER.size
-        expected = off + 8 * h * w
-        if len(data) != expected:
-            raise ParameterError(f"serialized permutation has {len(data)} bytes, expected {expected}")
-        fwd = np.frombuffer(data, dtype="<u8", offset=off).astype(np.int64)
-        return cls(h, w, fwd)
-
 
 def _application_order(tiling: Tiling) -> list[tuple[int, int]]:
     # Squares are applied row by row, top to bottom, right to left within a
@@ -95,8 +70,6 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int, *, inverse: bool = Fa
     squares visited in reverse order.  Each square costs one s*s gather,
     so a pass costs O(sum of s^2) whatever the image size.
     """
-    if p < 0 or q < 0:
-        raise ParameterError(f"p and q must be non-negative, got p={p}, q={q}")
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
     mat = (inverse_map_matrix if inverse else map_matrix)(AcmParams(p, q, s))
@@ -129,30 +102,13 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int, *, inverse: bool = Fa
     return Permutation(h, w, forward)
 
 
-def invert(perm: Permutation) -> Permutation:
-    """The inverse bijection."""
-    inv = np.empty_like(perm.forward)
-    inv[perm.forward] = np.arange(perm.forward.size, dtype=np.int64)
-    return Permutation(perm.height, perm.width, inv)
-
-
-def compose(outer: Permutation, inner: Permutation) -> Permutation:
-    """Apply inner first, then outer: result[i] = outer[inner[i]]."""
-    if (outer.height, outer.width) != (inner.height, inner.width):
-        raise ParameterError(
-            f"dimension mismatch: {outer.height}x{outer.width} vs {inner.height}x{inner.width}"
-        )
-    return Permutation(outer.height, outer.width, outer.forward[inner.forward])
-
-
 @dataclass(frozen=True, eq=False)
 class CycleDecomposition:
     """Orbits of a permutation, stored flat for O(1)-per-pixel iteration.
 
     order holds every pixel index grouped by cycle, each cycle starting at
     its smallest index and cycles sorted by that index; starts[c] is the
-    offset of cycle c in order.  The per-slot arrays are derived caches so
-    iterated application is a single vectorized sweep.
+    offset of cycle c in order and lengths[c] its length.
     """
 
     height: int
@@ -160,31 +116,27 @@ class CycleDecomposition:
     order: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray = field(init=False)
-    _slot_start: np.ndarray = field(init=False, repr=False)
-    _slot_len: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lengths = np.diff(self.starts)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "_slot_start", np.repeat(self.starts[:-1], lengths))
-        object.__setattr__(self, "_slot_len", np.repeat(lengths, lengths))
-
-    @property
-    def cycles(self) -> list[np.ndarray]:
-        return [
-            self.order[self.starts[c] : self.starts[c + 1]]
-            for c in range(len(self.starts) - 1)
-        ]
+        object.__setattr__(self, "lengths", np.diff(self.starts))
 
     def iterated_forward(self, z: int) -> np.ndarray:
-        """The z-fold permutation as an index array (z may be any int, huge or negative)."""
+        """The z-fold permutation as an index array (z may be any int, huge or negative).
+
+        Slot starts[c] + i of cycle c moves to slot starts[c] + (i + z) mod
+        lengths[c].  The per-slot arrays are built here, one at a time and
+        in place, so they never outlive the call.
+        """
         distinct, inv = np.unique(self.lengths, return_inverse=True)
-        shift_per_cycle = np.array([z % int(d) for d in distinct], dtype=np.int64)[inv]
-        shift = np.repeat(shift_per_cycle, self.lengths)
-        pos = np.arange(self.order.size, dtype=np.int64) - self._slot_start
-        dest_slot = self._slot_start + (pos + shift) % self._slot_len
-        fwd_z = np.empty(self.order.size, dtype=np.int64)
-        fwd_z[self.order] = self.order[dest_slot]
+        shift = np.array([z % int(d) for d in distinct], dtype=np.int64)[inv]
+        dest = np.arange(self.order.size, dtype=np.int64)
+        dest -= np.repeat(self.starts[:-1], self.lengths)
+        dest += np.repeat(shift, self.lengths)
+        dest %= np.repeat(self.lengths, self.lengths)
+        dest += np.repeat(self.starts[:-1], self.lengths)
+        dest = self.order[dest]
+        fwd_z = np.empty_like(dest)
+        fwd_z[self.order] = dest
         return fwd_z
 
 

@@ -15,6 +15,14 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 
+def check_square(square_size: int, overlap: int) -> None:
+    """Refuse a square side below 1 or an overlap outside [0, square_size)."""
+    if square_size < 1:
+        raise ParameterError(f"square size must be >= 1, got {square_size}")
+    if not 0 <= overlap < square_size:
+        raise ParameterError(f"overlap {overlap} must be in [0, square size = {square_size})")
+
+
 @dataclass(frozen=True)
 class TilingParams:
     height: int
@@ -25,14 +33,11 @@ class TilingParams:
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ParameterError(f"image dimensions must be >= 1, got {self.height}x{self.width}")
-        if not (1 <= self.square_size <= min(self.height, self.width)):
+        check_square(self.square_size, self.overlap)
+        if self.square_size > min(self.height, self.width):
             raise ParameterError(
-                f"square size {self.square_size} must be in [1, min(height, width) = "
-                f"{min(self.height, self.width)}]"
-            )
-        if not (0 <= self.overlap < self.square_size):
-            raise ParameterError(
-                f"overlap {self.overlap} must be in [0, square size = {self.square_size})"
+                f"square size {self.square_size} exceeds min(height, width) = "
+                f"{min(self.height, self.width)}"
             )
 
     @property
@@ -75,8 +80,3 @@ def square_locations(params: TilingParams) -> Tiling:
     xs = _axis_coords(params.width, params.square_size, params.step)
     squares = tuple((x, y) for y in ys for x in xs)
     return Tiling(params, squares)
-
-
-def square_count(params: TilingParams) -> int:
-    """Number of squares the cover will contain."""
-    return len(square_locations(params).squares)

@@ -29,6 +29,35 @@ def oacm_perm(h, w, s, o, p=1, q=1, **kw):
     return build_oacm_permutation(square_locations(TilingParams(h, w, s, o)), p, q, **kw)
 
 
+def square_count(params):
+    """Number of squares the cover contains."""
+    return len(square_locations(params).squares)
+
+
+def invert(perm):
+    """The inverse bijection."""
+    inv = np.empty_like(perm.forward)
+    inv[perm.forward] = np.arange(perm.forward.size, dtype=np.int64)
+    return Permutation(perm.height, perm.width, inv)
+
+
+def compose(outer, inner):
+    """Apply inner first, then outer: result[i] = outer[inner[i]]."""
+    if (outer.height, outer.width) != (inner.height, inner.width):
+        raise ParameterError(
+            f"dimension mismatch: {outer.height}x{outer.width} vs {inner.height}x{inner.width}"
+        )
+    return Permutation(outer.height, outer.width, outer.forward[inner.forward])
+
+
+def cycle_list(cycles):
+    """The orbits of a decomposition as a list of index arrays, in order."""
+    return [
+        cycles.order[cycles.starts[c] : cycles.starts[c + 1]]
+        for c in range(len(cycles.starts) - 1)
+    ]
+
+
 def mask_build_reference(tiling, p, q, *, inverse=False):
     """The map applied as a map: every pixel is tested against every square.
 

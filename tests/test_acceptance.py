@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import landau_g_bruteforce, oacm_perm, single_square, small_configs
+from helpers import compose, landau_g_bruteforce, oacm_perm, single_square, small_configs
 from oacm import (
     AcmParams,
     KeyConfig,
@@ -23,7 +23,6 @@ from oacm import (
     TilingParams,
     apply_iterations,
     build_oacm_permutation,
-    compose,
     cycle_decompose,
     descramble,
     image_period,

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import oacm_perm, single_square, small_configs, synthetic_cycles
+from helpers import compose, oacm_perm, single_square, small_configs, synthetic_cycles
 from oacm import (
     ParameterError,
     Permutation,
     build_oacm_permutation,
-    compose,
     cycle_decompose,
     image_period,
     orbit_histogram,

@@ -1,21 +1,23 @@
-"""Command-line surface: output formats, caching, exit codes."""
+"""Command-line surface: output formats, the library scramble path, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oacm.cli
 from helpers import oacm_perm
 from oacm import (
     AcmParams,
     KeyConfig,
-    Permutation,
     RasterImage,
     cycle_decompose,
     image_period,
     matrix_period,
     read_image,
     scientific,
+    scramble,
     write_image,
 )
 from oacm.cli import main
@@ -35,11 +37,12 @@ def make_key(tmp_path, **kw):
     return str(path)
 
 
-def make_image(tmp_path, height=8, width=10, channels=1, seed=0):
+def make_image(tmp_path, height=8, width=10, channels=1, seed=0, maxval=255):
     rng = np.random.default_rng(seed)
     img = RasterImage(
         height, width, channels,
-        rng.integers(0, 256, height * width * channels, dtype=np.uint8),
+        rng.integers(0, maxval + 1, height * width * channels, dtype=np.uint8),
+        maxval,
     )
     path = tmp_path / "img.pnm"
     write_image(img, path)
@@ -165,42 +168,24 @@ class TestScrambleCli:
         run(capsys, "scramble", "--key", key, "--in", src, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_cache_created_and_reused(self, capsys, tmp_path):
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_bytes_match_the_library(self, capsys, tmp_path, channels):
+        key = make_key(tmp_path, square_size=5, overlap=2, p=2, q=3, iterations=10**40 + 7)
+        src, _ = make_image(tmp_path, height=9, width=11, channels=channels, maxval=15)
+        out = tmp_path / "cli.pnm"
+        assert run(capsys, "scramble", "--key", key, "--in", src, "--out", str(out))[0] == 0
+        want = tmp_path / "lib.pnm"
+        write_image(scramble(read_image(src), KeyConfig.from_json(Path(key).read_text())), want)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_cache_dir_is_a_usage_error(self, capsys, tmp_path):
         key = make_key(tmp_path)
         src, _ = make_image(tmp_path)
-        cache = tmp_path / "cache"
-        out = str(tmp_path / "s.pnm")
-        run(capsys, "scramble", "--key", key, "--in", src, "--out", out, "--cache-dir", str(cache))
-        entries = list(cache.iterdir())
-        assert len(entries) == 1
-        assert entries[0].name == "perm-8x10-s4-o1-p1-q1.bin"
-        stamp = entries[0].stat().st_mtime_ns
-        first = (tmp_path / "s.pnm").read_bytes()
-        run(capsys, "scramble", "--key", key, "--in", src, "--out", out, "--cache-dir", str(cache))
-        assert entries[0].stat().st_mtime_ns == stamp
-        assert (tmp_path / "s.pnm").read_bytes() == first
-
-    def test_cache_contains_the_permutation(self, capsys, tmp_path):
-        key = make_key(tmp_path)
-        src, _ = make_image(tmp_path)
-        cache = tmp_path / "cache"
-        run(capsys, "scramble", "--key", key, "--in", src, "--out",
-            str(tmp_path / "s.pnm"), "--cache-dir", str(cache))
-        blob = (cache / "perm-8x10-s4-o1-p1-q1.bin").read_bytes()
-        assert Permutation.from_bytes(blob) == oacm_perm(8, 10, 4, 1)
-
-    def test_corrupt_cache_is_rebuilt(self, capsys, tmp_path):
-        key = make_key(tmp_path)
-        src, img = make_image(tmp_path)
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "perm-8x10-s4-o1-p1-q1.bin").write_bytes(b"garbage")
-        scrambled = str(tmp_path / "s.pnm")
-        restored = str(tmp_path / "r.pnm")
-        assert run(capsys, "scramble", "--key", key, "--in", src, "--out",
-                   scrambled, "--cache-dir", str(cache))[0] == 0
-        run(capsys, "descramble", "--key", key, "--in", scrambled, "--out", restored)
-        assert read_image(restored) == img
+        with pytest.raises(SystemExit) as exc:
+            main(["scramble", "--key", key, "--in", src, "--out", str(tmp_path / "s.pnm"),
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s.pnm").exists()
 
 
 class TestMaxval:
@@ -254,6 +239,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "scramble", "--key", key, "--in", str(bad),
                            "--out", str(tmp_path / "o.pnm"))
         assert code == 3
+
+    def test_memory_error_exits_4(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(oacm.cli, "cmd_period", exhausted)
+        code, out, err = run(
+            capsys, "period", "--height", "200000", "--width", "200000",
+            "--square-size", "10", "--overlap", "0",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 298. GiB for an array\n"
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oacm import ParameterError, TilingParams, square_count, square_locations
+from helpers import square_count
+from oacm import ParameterError, TilingParams, square_locations
 
 
 @st.composite
