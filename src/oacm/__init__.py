@@ -44,7 +44,6 @@ from .images import (
     KeyConfig,
     RasterImage,
     descramble,
-    permutation_for,
     read_image,
     scramble,
     shift_pixels,
@@ -62,6 +61,7 @@ from .permutation import (
     apply_iterations,
     build_oacm_permutation,
     cycle_decompose,
+    cycles_for,
     image_period,
 )
 from .tiling import Tiling, TilingParams, square_locations
@@ -93,6 +93,7 @@ __all__ = [
     "apply_iterations",
     "build_oacm_permutation",
     "cycle_decompose",
+    "cycles_for",
     "descramble",
     "image_period",
     "inverse_map_matrix",
@@ -103,7 +104,6 @@ __all__ = [
     "matrix_period",
     "orbit_histogram",
     "period_bound_for_image",
-    "permutation_for",
     "read_image",
     "recurrence_peaks",
     "scientific",

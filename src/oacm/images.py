@@ -20,13 +20,8 @@ from .errors import (
     TruncatedDataError,
     UnsupportedFormatError,
 )
-from .permutation import (
-    CycleDecomposition,
-    apply_iterations,
-    build_oacm_permutation,
-    cycle_decompose,
-)
-from .tiling import TilingParams, check_square, square_locations
+from .permutation import CycleDecomposition, apply_iterations, cycles_for
+from .tiling import check_square
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 _OTHER_NETPBM = {b"P1", b"P2", b"P3", b"P4", b"P7"}
@@ -96,10 +91,12 @@ class KeyConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "KeyConfig":
+        # ValueError covers JSONDecodeError and a number past int's digit
+        # limit; RecursionError, arrays or objects nested too deep
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"key file is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParameterError(f"key file is not readable JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParameterError("key file must contain a JSON object")
         try:
@@ -115,18 +112,6 @@ class KeyConfig:
             except ValueError as exc:
                 raise ParameterError(f"key field {name!r} is not an integer: {value!r}") from exc
         return cls(**fields)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "square_size": self.square_size,
-                "overlap": self.overlap,
-                "p": self.p,
-                "q": self.q,
-                # keep big iteration counts portable across JSON parsers
-                "iterations": str(self.iterations),
-            }
-        )
 
 
 def _parse_header(data: bytes):
@@ -188,12 +173,6 @@ def write_image(img: RasterImage, path) -> None:
     Path(path).write_bytes(header + img.samples.tobytes())
 
 
-def permutation_for(height: int, width: int, key: KeyConfig):
-    """The one-pass permutation a key induces on a height x width image."""
-    params = TilingParams(height, width, key.square_size, key.overlap)
-    return build_oacm_permutation(square_locations(params), key.p, key.q)
-
-
 def shift_pixels(img: RasterImage, cycles: CycleDecomposition, z: int) -> RasterImage:
     """Move every pixel z steps along the orbits (negative z moves back).
 
@@ -204,7 +183,7 @@ def shift_pixels(img: RasterImage, cycles: CycleDecomposition, z: int) -> Raster
 
 
 def _shift_by_key(img: RasterImage, key: KeyConfig, z: int) -> RasterImage:
-    cycles = cycle_decompose(permutation_for(img.height, img.width, key))
+    cycles = cycles_for(img.height, img.width, key.square_size, key.overlap, key.p, key.q)
     return shift_pixels(img, cycles, z)
 
 

@@ -107,19 +107,19 @@ def _solve(primes: list[int], m: int) -> list[int]:
     return max((_solve(low, int(j)) + _solve(high, m - int(j)) for j in near), key=math.prod)
 
 
-def landau_g(n: int, *, ceiling: int = DEFAULT_CEILING) -> LandauResult:
-    """Exact g(n) with a witnessing series."""
+def landau_g(n: int) -> LandauResult:
+    """Exact g(n) with a witnessing series, for 1 <= n <= DEFAULT_CEILING."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if n > ceiling:
-        raise ParameterError(f"n = {n} exceeds the configured ceiling {ceiling}")
+    if n > DEFAULT_CEILING:
+        raise ParameterError(f"n = {n} exceeds the configured ceiling {DEFAULT_CEILING}")
     bound = max(64, round(1.5 * math.sqrt(n * math.log(n))))
     series = tuple(sorted(_solve(_sieve(min(n, bound)), n)))
     return LandauResult(n, math.prod(series), series)
 
 
-def period_bound_for_image(height: int, width: int, *, ceiling: int = DEFAULT_CEILING) -> LandauResult:
+def period_bound_for_image(height: int, width: int) -> LandauResult:
     """Upper bound on any scramble period of a height x width image: g(pixels)."""
     if height < 1 or width < 1:
         raise ParameterError(f"image dimensions must be >= 1, got {height}x{width}")
-    return landau_g(height * width, ceiling=ceiling)
+    return landau_g(height * width)

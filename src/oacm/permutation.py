@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acm import AcmParams, inverse_map_matrix, map_matrix
+from .acm import AcmParams, map_matrix
 from .errors import ParameterError
-from .tiling import Tiling
+from .tiling import Tiling, TilingParams, square_locations
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,37 +45,30 @@ class Permutation:
             and np.array_equal(self.forward, other.forward)
         )
 
-    @classmethod
-    def identity(cls, height: int, width: int) -> "Permutation":
-        return cls(height, width, np.arange(height * width, dtype=np.int64))
-
 
 def _application_order(tiling: Tiling) -> list[tuple[int, int]]:
-    # Squares are applied row by row, top to bottom, right to left within a
-    # row.  Orderings of more than two squares are not conjugate to each
-    # other, so the cycle structure (and every period) depends on this
-    # choice; the reference periods pinned in the test suite fix it.
-    rows: dict[int, list[int]] = {}
-    for x, y in tiling.squares:
-        rows.setdefault(y, []).append(x)
-    return [(x, y) for y in sorted(rows) for x in sorted(rows[y], reverse=True)]
+    """Corners in the order a pass visits them: rows top to bottom, each row
+    right to left.
+
+    Orderings of more than two squares are not conjugate to each other, so
+    the cycle structure (and every period) depends on this choice; the
+    reference periods pinned in the test suite fix it.
+    """
+    return sorted(tiling.squares, key=lambda sq: (sq[1], -sq[0]))
 
 
-def build_oacm_permutation(tiling: Tiling, p: int, q: int, *, inverse: bool = False) -> Permutation:
-    """Net permutation of one pass over all squares of the tiling.
+def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
+    """Net permutation of one scramble pass over all squares of the tiling.
 
-    Each square applies the (p, q) cat map on its own local coordinates,
-    with the modulus equal to the square side.  With inverse=True the
-    decrypt-direction pass is built instead: inverse map per square,
-    squares visited in reverse order.  Each square costs one s*s gather,
-    so a pass costs O(sum of s^2) whatever the image size.
+    Each square, in _application_order, applies the (p, q) cat map on its
+    own local coordinates, with the modulus equal to the square side.
+    Descrambling walks the orbits of this same pass backwards.  Each square
+    costs one s*s gather, so a pass costs O(sum of s^2) whatever the image
+    size.
     """
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
-    mat = (inverse_map_matrix if inverse else map_matrix)(AcmParams(p, q, s))
-    order = _application_order(tiling)
-    if inverse:
-        order.reverse()
+    mat = map_matrix(AcmParams(p, q, s))
 
     # occ[y, x] is the original index of the pixel now at (y, x).  The map
     # is the same on every square, so one local gather index serves all of
@@ -92,7 +85,7 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int, *, inverse: bool = Fa
     before = np.empty((s, s), dtype=np.int64)
     after = np.empty((s, s), dtype=np.int64)
     before_flat, after_flat = before.reshape(-1), after.reshape(-1)
-    for x0, y0 in order:
+    for x0, y0 in _application_order(tiling):
         block = occ[y0 : y0 + s, x0 : x0 + s]
         before[...] = block
         np.take(before_flat, src, out=after_flat)
@@ -159,6 +152,19 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
             j = fwd[j]
         starts.append(t)
     return CycleDecomposition(perm.height, perm.width, order, np.array(starts, dtype=np.int64))
+
+
+def cycles_for(
+    height: int, width: int, square_size: int, overlap: int, p: int, q: int
+) -> CycleDecomposition:
+    """Orbits of one pass: cover the image, build the pass, decompose it.
+
+    The one pipeline entry shared by the library and the CLI.  Each stage
+    is called by its module-level name, so bench/spans.py can rebind and
+    time it.
+    """
+    tiling = square_locations(TilingParams(height, width, square_size, overlap))
+    return cycle_decompose(build_oacm_permutation(tiling, p, q))
 
 
 def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.ndarray:

@@ -70,8 +70,8 @@ class Tiling:
 
 def _axis_coords(length: int, size: int, step: int) -> list[int]:
     coords = list(range(0, length - size, step))  # multiples of step <= length-size-1
-    coords.append(length - size)
-    return sorted(set(coords))
+    coords.append(length - size)  # above every multiple, so still ascending and distinct
+    return coords
 
 
 def square_locations(params: TilingParams) -> Tiling:

@@ -1,5 +1,6 @@
 """Shared builders and reference oracles for the test modules."""
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from oacm import (
     Permutation,
     TilingParams,
     build_oacm_permutation,
-    inverse_map_matrix,
     map_matrix,
     square_locations,
 )
@@ -25,8 +25,26 @@ def single_square(n):
     return square_locations(TilingParams(n, n, n, 0))
 
 
-def oacm_perm(h, w, s, o, p=1, q=1, **kw):
-    return build_oacm_permutation(square_locations(TilingParams(h, w, s, o)), p, q, **kw)
+def oacm_perm(h, w, s, o, p=1, q=1):
+    return build_oacm_permutation(square_locations(TilingParams(h, w, s, o)), p, q)
+
+
+def identity_perm(height, width):
+    """The permutation that leaves every pixel in place."""
+    return Permutation(height, width, np.arange(height * width, dtype=np.int64))
+
+
+def key_json(key):
+    """A KeyConfig as key-file JSON; iterations is a decimal string, as big keys need."""
+    return json.dumps(
+        {
+            "square_size": key.square_size,
+            "overlap": key.overlap,
+            "p": key.p,
+            "q": key.q,
+            "iterations": str(key.iterations),
+        }
+    )
 
 
 def square_count(params):
@@ -58,7 +76,7 @@ def cycle_list(cycles):
     ]
 
 
-def mask_build_reference(tiling, p, q, *, inverse=False):
+def mask_build_reference(tiling, p, q):
     """The map applied as a map: every pixel is tested against every square.
 
     O(squares x pixels); kept as the oracle for build_oacm_permutation.
@@ -67,15 +85,12 @@ def mask_build_reference(tiling, p, q, *, inverse=False):
         raise ParameterError(f"p and q must be non-negative, got p={p}, q={q}")
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
-    mat = (inverse_map_matrix if inverse else map_matrix)(AcmParams(p, q, s))
-    order = _application_order(tiling)
-    if inverse:
-        order.reverse()
+    mat = map_matrix(AcmParams(p, q, s))
 
     xs, ys = np.meshgrid(np.arange(w, dtype=np.int64), np.arange(h, dtype=np.int64))
     xs = xs.ravel()
     ys = ys.ravel()
-    for x0, y0 in order:
+    for x0, y0 in _application_order(tiling):
         inside = (xs >= x0) & (xs < x0 + s) & (ys >= y0) & (ys < y0 + s)
         lx = xs[inside] - x0
         ly = ys[inside] - y0

@@ -13,11 +13,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import compose, landau_g_bruteforce, oacm_perm, single_square, small_configs
+from helpers import (
+    compose,
+    identity_perm,
+    key_json,
+    landau_g_bruteforce,
+    oacm_perm,
+    single_square,
+    small_configs,
+)
 from oacm import (
     AcmParams,
     KeyConfig,
-    Permutation,
     RasterImage,
     Tiling,
     TilingParams,
@@ -200,7 +207,7 @@ def test_similarity_counts_and_minimality():
         cycles = cycle_decompose(perm)
 
         # Divisor-sum similarity equals brute-force fixed-point counting.
-        power = Permutation.identity(h, w)
+        power = identity_perm(h, w)
         home = np.arange(h * w)
         for k in range(1, 51):
             power = compose(perm, power)
@@ -287,7 +294,7 @@ def test_scramble_round_trip_byte_exact(tmp_path, capsys):
         back = tmp_path / f"back{idx}.pnm"
         keyfile = tmp_path / f"key{idx}.json"
         write_image(img, src)
-        keyfile.write_text(key.to_json())
+        keyfile.write_text(key_json(key))
         assert main(["scramble", "--key", str(keyfile), "--in", str(src), "--out", str(mid)]) == 0
         assert main(["descramble", "--key", str(keyfile), "--in", str(mid), "--out", str(back)]) == 0
         capsys.readouterr()

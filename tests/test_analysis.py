@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import compose, oacm_perm, single_square, small_configs, synthetic_cycles
+from helpers import compose, identity_perm, oacm_perm, single_square, small_configs, synthetic_cycles
 from oacm import (
     ParameterError,
-    Permutation,
     build_oacm_permutation,
     cycle_decompose,
     image_period,
@@ -31,7 +30,7 @@ def square_512():
 
 class TestHistogram:
     def test_identity(self):
-        hist = orbit_histogram(cycle_decompose(Permutation.identity(3, 3)))
+        hist = orbit_histogram(cycle_decompose(identity_perm(3, 3)))
         assert hist.bins == {1: 9}
         assert hist.total_pixels == 9
 
@@ -53,7 +52,7 @@ class TestHistogram:
 
 class TestSimilarity:
     def test_rejects_non_positive_k(self):
-        cycles = cycle_decompose(Permutation.identity(2, 2))
+        cycles = cycle_decompose(identity_perm(2, 2))
         with pytest.raises(ParameterError):
             similarity_at(cycles, 0)
 
@@ -75,7 +74,7 @@ class TestSimilarity:
         h, w, s, o, p, q = config
         perm = oacm_perm(h, w, s, o, p, q)
         cycles = cycle_decompose(perm)
-        power = Permutation.identity(h, w)
+        power = identity_perm(h, w)
         for k in range(1, 21):
             power = compose(perm, power)
             fixed = int((power.forward == np.arange(h * w)).sum())
@@ -84,7 +83,7 @@ class TestSimilarity:
 
 class TestCurve:
     def test_identity_curve(self):
-        curve = similarity_curve(cycle_decompose(Permutation.identity(2, 3)), 5)
+        curve = similarity_curve(cycle_decompose(identity_perm(2, 3)), 5)
         assert curve.points == tuple((k, Fraction(1)) for k in range(1, 6))
 
     def test_three_by_three_curve(self):
@@ -106,7 +105,7 @@ class TestCurve:
 
     def test_rejects_non_positive_k_max(self):
         with pytest.raises(ParameterError):
-            similarity_curve(cycle_decompose(Permutation.identity(2, 2)), 0)
+            similarity_curve(cycle_decompose(identity_perm(2, 2)), 0)
 
     @given(small_configs(), st.integers(1, 300))
     def test_every_point_matches_similarity_at(self, config, k_max):
@@ -149,7 +148,7 @@ class TestRecurrencePeaks:
         assert recurrence_peaks(curve, Fraction(3, 4)) == [2, 4]
 
     def test_threshold_domain(self):
-        curve = similarity_curve(cycle_decompose(Permutation.identity(2, 2)), 3)
+        curve = similarity_curve(cycle_decompose(identity_perm(2, 2)), 3)
         for bad in (0, -1, Fraction(11, 10)):
             with pytest.raises(ParameterError):
                 recurrence_peaks(curve, bad)

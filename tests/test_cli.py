@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oacm.acm
 import oacm.cli
 from helpers import oacm_perm
 from oacm import (
@@ -20,6 +21,7 @@ from oacm import (
     scramble,
     write_image,
 )
+from oacm.acm import MAX_PERIOD_SIDE
 from oacm.cli import main
 
 
@@ -110,6 +112,27 @@ class TestCsvCommands:
         assert code == 0
         assert out_path.read_text() == "length,count\n1,1\n4,2\n"
 
+    @pytest.mark.parametrize("command", ["tile", "similarity", "histogram"])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, command):
+        argv = [command, "--height", "10", "--width", "12", "--square-size", "5", "--overlap", "2"]
+        if command == "similarity":
+            argv += ["--kmax", "30"]
+        code, shown, _ = run(capsys, *argv)
+        out_path = tmp_path / "out.txt"
+        to_file = run(capsys, *argv, "--out", str(out_path))
+        assert (code, to_file) == (0, (0, "", ""))
+        assert out_path.read_bytes() == shown.encode()
+
+    def test_failed_command_writes_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "sim.csv"
+        code, _, err = run(
+            capsys, "similarity", "--height", "3", "--width", "3",
+            "--square-size", "3", "--overlap", "0", "--kmax", "0", "--out", str(out_path),
+        )
+        assert code == 2
+        assert "error" in err
+        assert not out_path.exists()
+
 
 class TestLandau:
     def test_output(self, capsys):
@@ -137,6 +160,20 @@ class TestAcmPeriod:
         # 200003 is prime and -2 mod 5, so the period is side + 1.
         code, out, _ = run(capsys, "acm-period", "--n", "200003")
         assert (code, out) == (0, "200004\n")
+
+    def test_side_at_the_limit(self, capsys):
+        code, out, _ = run(capsys, "acm-period", "--n", str(MAX_PERIOD_SIDE))
+        assert code == 0
+        assert int(out) >= 1
+
+    def test_side_over_the_limit_exits_2_before_factoring(self, capsys, monkeypatch):
+        def no_factoring(m):
+            raise AssertionError(f"factored {m}")
+
+        monkeypatch.setattr(oacm.acm, "_factor", no_factoring)
+        code, out, err = run(capsys, "acm-period", "--n", str(MAX_PERIOD_SIDE + 1))
+        assert (code, out) == (2, "")
+        assert "exceeds" in err
 
 
 class TestScrambleCli:
@@ -225,6 +262,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "scramble", "--key", str(key), "--in", src,
                            "--out", str(tmp_path / "o.pnm"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 5000 digits is past Python's default limit for int <-> str conversion
+            '{"square_size": 4, "overlap": 1, "p": 1, "q": 1, "iterations": %s}' % ("9" * 5000),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["huge-number", "deep-nesting"],
+    )
+    def test_unreadable_key_exits_2(self, capsys, tmp_path, text):
+        key = tmp_path / "key.json"
+        key.write_text(text)
+        src, _ = make_image(tmp_path)
+        code, _, err = run(capsys, "scramble", "--key", str(key), "--in", src,
+                           "--out", str(tmp_path / "o.pnm"))
+        assert code == 2
+        assert err.startswith("error: key file")
+        assert not (tmp_path / "o.pnm").exists()
 
     def test_missing_input_file(self, capsys, tmp_path):
         key = make_key(tmp_path)

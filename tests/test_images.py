@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import oacm_perm
+from helpers import key_json, oacm_perm
 from oacm import (
     ImageFormatError,
     KeyConfig,
@@ -16,9 +16,9 @@ from oacm import (
     TruncatedDataError,
     UnsupportedFormatError,
     cycle_decompose,
+    cycles_for,
     descramble,
     apply_iterations,
-    permutation_for,
     read_image,
     scramble,
     shift_pixels,
@@ -200,7 +200,7 @@ class TestKeyConfig:
 
     def test_json_round_trip(self):
         key = KeyConfig(100, 25, 1, 1, 10**489)
-        assert KeyConfig.from_json(key.to_json()) == key
+        assert KeyConfig.from_json(key_json(key)) == key
 
     def test_rejects_bad_json(self):
         with pytest.raises(ParameterError):
@@ -281,9 +281,12 @@ class TestScramble:
 
 
 class TestHelpers:
-    def test_permutation_for_matches_direct_build(self):
-        key = KeyConfig(4, 1, 2, 3, 9)
-        assert permutation_for(6, 10, key) == oacm_perm(6, 10, 4, 1, p=2, q=3)
+    def test_cycles_for_matches_direct_build(self):
+        cycles = cycles_for(6, 10, 4, 1, 2, 3)
+        direct = cycle_decompose(oacm_perm(6, 10, 4, 1, p=2, q=3))
+        assert (cycles.height, cycles.width) == (6, 10)
+        assert np.array_equal(cycles.order, direct.order)
+        assert np.array_equal(cycles.starts, direct.starts)
 
     def test_shift_pixels_matches_apply_iterations(self):
         img = gradient_image(7, 5, 3)
