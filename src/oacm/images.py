@@ -104,9 +104,12 @@ class KeyConfig:
         except KeyError as exc:
             raise ParameterError(f"key file is missing field {exc}") from exc
         for name, value in fields.items():
-            # ints, or decimal strings for values beyond machine width
+            # ints, or strings of ASCII digits for values beyond machine
+            # width; int() alone would also take "+5", " 12 ", "1_000", "١٢"
             if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ParameterError(f"key field {name!r} must be an integer, got {value!r}")
+            if isinstance(value, str) and not (value.isascii() and value.isdigit()):
+                raise ParameterError(f"key field {name!r} is not a decimal string: {value!r}")
             try:
                 fields[name] = int(value)
             except ValueError as exc:
@@ -120,6 +123,8 @@ def _parse_header(data: bytes):
         raise UnsupportedFormatError(f"netpbm variant {magic.decode()} is not supported (P5/P6 only)")
     if magic not in _MAGIC_CHANNELS:
         raise MalformedHeaderError("not a binary netpbm file (missing P5/P6 magic)")
+    if not (data[2:3].isspace() or data[2:3] == b"#"):
+        raise MalformedHeaderError("missing whitespace after the magic number")
     fields = []
     i = 2
     while len(fields) < 3:
@@ -137,10 +142,14 @@ def _parse_header(data: bytes):
             i += 1
         if i == start:
             raise MalformedHeaderError("header ended before width, height and maxval were read")
+        token = data[start:i]
+        # ASCII digits only: int() alone would also take b"+4" and b"4_0"
+        if not token.isdigit():
+            raise MalformedHeaderError(f"non-integer header field {token!r}")
         try:
-            fields.append(int(data[start:i]))
-        except ValueError:
-            raise MalformedHeaderError(f"non-integer header field {data[start:i]!r}") from None
+            fields.append(int(token))
+        except ValueError:  # more digits than int() converts
+            raise MalformedHeaderError(f"header field of {len(token)} digits") from None
     if i >= len(data):
         raise MalformedHeaderError("missing whitespace after maxval")
     i += 1  # exactly one whitespace byte separates header from raster

@@ -10,11 +10,12 @@ at O(1) cost per pixel regardless of z.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acm import AcmParams, map_matrix
+from .acm import AcmParams, inverse_map_matrix
 from .errors import ParameterError
 from .tiling import Tiling, TilingParams, square_locations
 
@@ -68,28 +69,19 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     """
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
-    mat = map_matrix(AcmParams(p, q, s))
+    inv = inverse_map_matrix(AcmParams(p, q, s))
 
-    # occ[y, x] is the original index of the pixel now at (y, x).  The map
-    # is the same on every square, so one local gather index serves all of
-    # them: the pixel at local (lx, ly) moves to dest, i.e. the new block
-    # reads its flat slot dest from the old block's slot (ly * s + lx).
+    # occ[y, x] is the original index of the pixel now at (y, x).  One local
+    # gather index serves every square: the new block's slot (ly, lx) reads
+    # the old block's flat slot at the inverse image of (lx, ly).
     lx = np.arange(s, dtype=np.int64)
     ly = lx[:, None]
-    dest = (mat.c * lx + mat.d * ly) % s * s + (mat.a * lx + mat.b * ly) % s
-    src = np.empty(s * s, dtype=np.int64)
-    src[dest.ravel()] = np.arange(s * s, dtype=np.int64)
-    del lx, ly, dest
+    src = (inv.c * lx + inv.d * ly) % s * s + (inv.a * lx + inv.b * ly) % s
 
     occ = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    before = np.empty((s, s), dtype=np.int64)
-    after = np.empty((s, s), dtype=np.int64)
-    before_flat, after_flat = before.reshape(-1), after.reshape(-1)
     for x0, y0 in _application_order(tiling):
         block = occ[y0 : y0 + s, x0 : x0 + s]
-        before[...] = block
-        np.take(before_flat, src, out=after_flat)
-        block[...] = after
+        block[...] = np.take(block, src)
     forward = np.empty(h * w, dtype=np.int64)
     forward[occ.ravel()] = np.arange(h * w, dtype=np.int64)
     return Permutation(h, w, forward)
@@ -113,45 +105,25 @@ class CycleDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "lengths", np.diff(self.starts))
 
-    def iterated_forward(self, z: int) -> np.ndarray:
-        """The z-fold permutation as an index array (z may be any int, huge or negative).
-
-        Slot starts[c] + i of cycle c moves to slot starts[c] + (i + z) mod
-        lengths[c].  The per-slot arrays are built here, one at a time and
-        in place, so they never outlive the call.
-        """
-        distinct, inv = np.unique(self.lengths, return_inverse=True)
-        shift = np.array([z % int(d) for d in distinct], dtype=np.int64)[inv]
-        dest = np.arange(self.order.size, dtype=np.int64)
-        dest -= np.repeat(self.starts[:-1], self.lengths)
-        dest += np.repeat(shift, self.lengths)
-        dest %= np.repeat(self.lengths, self.lengths)
-        dest += np.repeat(self.starts[:-1], self.lengths)
-        dest = self.order[dest]
-        fwd_z = np.empty_like(dest)
-        fwd_z[self.order] = dest
-        return fwd_z
-
 
 def cycle_decompose(perm: Permutation) -> CycleDecomposition:
-    """Single-sweep orbit extraction with a visited mask."""
-    fwd = perm.forward.tolist()
-    n = len(fwd)
-    visited = bytearray(n)
-    order = np.empty(n, dtype=np.int64)
-    starts = [0]
-    t = 0
-    for i in range(n):
-        if visited[i]:
+    """Single-sweep orbit walk over one copy of the pass, which is also the
+    visited mask: walking a pixel overwrites its successor with -1."""
+    succ = array("q", perm.forward.tobytes())
+    order = array("q")
+    starts = array("q", [0])
+    for i in range(len(succ)):
+        if succ[i] < 0:
             continue
         j = i
-        while not visited[j]:
-            visited[j] = 1
-            order[t] = j
-            t += 1
-            j = fwd[j]
-        starts.append(t)
-    return CycleDecomposition(perm.height, perm.width, order, np.array(starts, dtype=np.int64))
+        while (k := succ[j]) >= 0:
+            succ[j] = -1
+            order.append(j)
+            j = k
+        starts.append(len(order))
+    return CycleDecomposition(
+        perm.height, perm.width, np.frombuffer(order, np.int64), np.frombuffer(starts, np.int64)
+    )
 
 
 def cycles_for(
@@ -172,14 +144,28 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
 
     The buffer is (N,) for one channel or (N, C) with the C samples of a
     pixel on one row; rows move as a whole.  Equivalent to applying the
-    underlying permutation z times; negative z walks orbits backwards.
+    underlying permutation z times; z may be any int, huge or negative
+    (negative z walks orbits backwards).  Slot starts[c] + i of cycle c
+    moves to slot starts[c] + (i + z) mod lengths[c]; the per-slot index
+    arrays are built one at a time and in place.
     """
     src = np.asarray(src)
     n = cycles.height * cycles.width
     if src.ndim not in (1, 2) or src.shape[0] != n:
         raise ParameterError(f"buffer must have shape ({n},) or ({n}, C), got {src.shape}")
+    distinct, inv = np.unique(cycles.lengths, return_inverse=True)
+    shift = np.array([z % int(d) for d in distinct], dtype=np.int64)[inv]
+    dest = np.arange(n, dtype=np.int64)
+    dest -= np.repeat(cycles.starts[:-1], cycles.lengths)
+    dest += np.repeat(shift, cycles.lengths)
+    dest %= np.repeat(cycles.lengths, cycles.lengths)
+    dest += np.repeat(cycles.starts[:-1], cycles.lengths)
+    dest = cycles.order[dest]
+    fwd_z = np.empty_like(dest)
+    fwd_z[cycles.order] = dest
+    del dest
     out = np.empty_like(src)
-    out[cycles.iterated_forward(z)] = src
+    out[fwd_z] = src
     return out
 
 

@@ -188,10 +188,11 @@ def test_scan_matches_naive_application(config):
         while steps < z:
             naive = perm.forward[naive]
             steps += 1
-        assert np.array_equal(cycles.iterated_forward(z), naive), (config, z)
-        moved = np.empty_like(src)
-        moved[naive] = src
-        assert np.array_equal(apply_iterations(cycles, z, src), moved), (config, z)
+        # the index buffer pins the z-fold permutation itself, src a payload
+        for buf in (np.arange(h * w), src):
+            moved = np.empty_like(buf)
+            moved[naive] = buf
+            assert np.array_equal(apply_iterations(cycles, z, buf), moved), (config, z)
 
 
 def test_single_square_period_equals_matrix_period():

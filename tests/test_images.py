@@ -133,6 +133,10 @@ class TestReadImage:
             b"P5\n0 2\n255\n",  # zero dimension
             b"P5\n2 2\n0\n\x00\x00\x00\x00",  # maxval out of range
             b"P5\n2 2\n70000\n\x00\x00\x00\x00",  # maxval beyond 16 bit
+            b"P5\n4_0 1\n255\n" + bytes(40),  # digit separator
+            b"P5\n+4 1\n255\n" + bytes(4),  # sign
+            b"P5\n4 1\n2_55\n" + bytes(4),  # digit separator in maxval
+            b"P54 1 255 " + bytes(4),  # no whitespace after the magic
         ]
         for raw in cases:
             path = tmp_path / "bad.pgm"
@@ -213,7 +217,9 @@ class TestKeyConfig:
             KeyConfig.from_json('{"square_size": 4, "overlap": 0, "p": 1, "q": 1}')
 
     def test_rejects_non_integer_fields(self):
-        for bad in ('1.5', 'true', 'null', '"abc"', '[3]'):
+        # int() would take the last four strings; only ASCII digits are decimal here
+        strings = ('"1_000"', '" 12 "', '"+5"', '"\u0661\u0662"')
+        for bad in ('1.5', 'true', 'null', '"abc"', '[3]', *strings):
             text = '{"square_size": 4, "overlap": 0, "p": 1, "q": 1, "iterations": %s}' % bad
             with pytest.raises(ParameterError):
                 KeyConfig.from_json(text)

@@ -109,6 +109,9 @@ class TestCycleDecompose:
     def test_identity_cycles(self):
         cycles = cycle_decompose(identity_perm(2, 2))
         assert [c.tolist() for c in cycle_list(cycles)] == [[0], [1], [2], [3]]
+        cycles = cycle_decompose(identity_perm(5, 7))
+        assert np.array_equal(cycles.order, np.arange(35))
+        assert np.array_equal(cycles.starts, np.arange(36))
 
     def test_two_by_two_lengths(self):
         cycles = cycle_decompose(build_oacm_permutation(single_square(2), 1, 1))
@@ -138,6 +141,20 @@ class TestCycleDecompose:
         heads = [int(c[0]) for c in cycles]
         assert all(int(c[0]) == min(c.tolist()) for c in cycles)
         assert heads == sorted(heads)
+
+    def test_leaves_forward_unchanged(self):
+        perm = oacm_perm(9, 13, 6, 2, p=3, q=2)
+        before = perm.forward.copy()
+        cycle_decompose(perm)
+        assert np.array_equal(perm.forward, before)
+
+    def test_single_long_cycle(self):
+        n = 37
+        perm = Permutation(1, n, np.roll(np.arange(n), -5))
+        cycles = cycle_decompose(perm)
+        assert cycles.starts.tolist() == [0, n]
+        assert cycles.order[0] == 0
+        assert np.array_equal(cycles.order[1:], perm.forward[cycles.order[:-1]])
 
 
 class TestApplyIterations:
@@ -215,7 +232,11 @@ class TestApplyIterations:
             naive = step[naive]
         if plus_period:
             z += image_period(cycles)
-        assert np.array_equal(cycles.iterated_forward(z), naive)
+        # moving the index buffer scatters each index to where its pixel lands
+        index = np.arange(h * w)
+        moved = np.empty_like(index)
+        moved[naive] = index
+        assert np.array_equal(apply_iterations(cycles, z, index), moved)
 
     def test_inverse_cycles_undo_forward_cycles(self):
         perm = oacm_perm(10, 6, 4, 1, p=2, q=3)
