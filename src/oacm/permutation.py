@@ -17,7 +17,7 @@ import numpy as np
 
 from .acm import AcmParams, inverse_map_matrix
 from .errors import ParameterError
-from .tiling import Tiling, TilingParams, square_locations
+from .tiling import Tiling, TilingParams, check_pixels, square_locations
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,12 +29,17 @@ class Permutation:
     forward: np.ndarray
 
     def __post_init__(self):
+        check_pixels(self.height, self.width)
         n = self.height * self.width
         fwd = np.ascontiguousarray(self.forward, dtype=np.int64)
         object.__setattr__(self, "forward", fwd)
         if fwd.shape != (n,):
             raise ParameterError(f"forward must have shape ({n},), got {fwd.shape}")
-        if n and (np.bincount(fwd, minlength=n) != 1).any():
+        if n and not 0 <= fwd.min() <= fwd.max() < n:
+            raise ParameterError(f"forward must take values in [0, {n})")
+        seen = np.zeros(n, dtype=bool)
+        seen[fwd] = True
+        if not seen.all():
             raise ParameterError("forward is not a bijection on the pixel index space")
 
     def __eq__(self, other):
@@ -78,12 +83,13 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     ly = lx[:, None]
     src = (inv.c * lx + inv.d * ly) % s * s + (inv.a * lx + inv.b * ly) % s
 
-    occ = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    # int32 scratch: TilingParams refuses pixel counts it cannot index
+    occ = np.arange(h * w, dtype=np.int32).reshape(h, w)
     for x0, y0 in _application_order(tiling):
         block = occ[y0 : y0 + s, x0 : x0 + s]
         block[...] = np.take(block, src)
     forward = np.empty(h * w, dtype=np.int64)
-    forward[occ.ravel()] = np.arange(h * w, dtype=np.int64)
+    forward[occ.ravel()] = np.arange(h * w, dtype=np.int32)
     return Permutation(h, w, forward)
 
 
@@ -106,24 +112,185 @@ class CycleDecomposition:
         object.__setattr__(self, "lengths", np.diff(self.starts))
 
 
-def cycle_decompose(perm: Permutation) -> CycleDecomposition:
-    """Single-sweep orbit walk over one copy of the pass, which is also the
-    visited mask: walking a pixel overwrites its successor with -1."""
-    succ = array("q", perm.forward.tobytes())
+# Ruling-set markers: in hashed round r (0 or 1), an unreached pixel i
+# becomes a marker when bits 59 - 5r to 63 - 5r of its Fibonacci hash
+# i * _MARKER_HASH mod 2**64 are zero, one pixel in 32.  A hash, not a
+# stride: markers at multiples of 32 line up with the cat map's lattice and
+# leave most orbits without one.
+_MARKER_HASH = np.uint64(0x9E3779B97F4A7C15)
+_HASHED_ROUNDS = 2
+# Steps a walker takes before it stops where it stands; ranks are uint16.
+_STEP_CAP = 256
+
+
+def _is_marker(h: np.ndarray, rnd: int = 0) -> np.ndarray:
+    """Whether each pixel index in h (uint64, overwritten with its hash)
+    is a hashed marker of round rnd."""
+    h *= _MARKER_HASH
+    h >>= np.uint64(59 - 5 * rnd)
+    h &= np.uint64(31)
+    return h == 0
+
+
+def _lockstep(fwd, is_marker, owner, rank, heads: np.ndarray, first_id: int):
+    """Walk from every marker pixel in heads, with ids first_id onwards,
+    along fwd in lock-step until each reaches a marker or has taken
+    _STEP_CAP steps; record owner and rank of every pixel stepped on.
+
+    Returns per walker the pixel it stopped before and the steps to it.  A
+    capped walker stops before its next pixel, which no walker can reach;
+    a later round makes it a marker.
+    """
+    nxt = np.empty(heads.size, dtype=np.int64)
+    gap = np.full(heads.size, _STEP_CAP + 1, dtype=np.int64)
+    walkers = np.arange(heads.size, dtype=np.int32)
+    owner[heads] = walkers + first_id
+    pos = heads
+    for step in range(1, _STEP_CAP + 1):
+        if not walkers.size:
+            break
+        pos = fwd[pos]
+        stop = is_marker[pos]
+        nxt[walkers[stop]] = pos[stop]
+        gap[walkers[stop]] = step
+        go = ~stop
+        pos = pos[go]
+        walkers = walkers[go]
+        owner[pos] = walkers + first_id
+        rank[pos] = step
+    nxt[walkers] = fwd[pos]
+    return nxt, gap
+
+
+def _ruling_set(fwd: np.ndarray):
+    """Steps 1 and 2 of cycle_decompose.
+
+    Returns, per pixel, owner (the marker it hangs off, as a marker id) and
+    rank (steps from that marker), and per marker id, succ (the next
+    marker) and gap (steps to it).  Marker ids run round by round, each
+    round in pixel order.
+    """
+    n = fwd.size
+    # hash first: its n-sized scratch is freed before the per-pixel arrays exist
+    heads = np.flatnonzero(_is_marker(np.arange(n, dtype=np.uint64)))
+    owner = np.full(n, -1, dtype=np.int32)
+    rank = np.zeros(n, dtype=np.uint16)
+    is_marker = np.zeros(n, dtype=bool)
+    nxts, gaps = [], []
+    k = 0  # markers so far
+    for rnd in range(_HASHED_ROUNDS):
+        if rnd:
+            heads = rest[_is_marker(rest.astype(np.uint64), rnd)]
+        is_marker[heads] = True
+        nxt, gap = _lockstep(fwd, is_marker, owner, rank, heads, k)
+        nxts.append(nxt)
+        gaps.append(gap)
+        k += heads.size
+        rest = np.flatnonzero(owner < 0)
+    # every pixel still unreached is a marker one step from its successor
+    owner[rest] = np.arange(k, k + rest.size, dtype=np.int32)
+    succ = owner[np.concatenate((*nxts, fwd[rest]))]
+    gap = np.concatenate((*gaps, np.ones(rest.size, dtype=np.int64)))
+    return owner, rank, succ, gap
+
+
+def _walk(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the bijection succ as (order, starts), cycles in no
+    particular order.
+
+    Cycles of one and two nodes are closed in numpy.  The rest take one
+    self-marking walk: a copy of succ is also the visited mask, walking a
+    node overwrites its successor with -1.
+    """
+    ids = np.arange(succ.size)
+    loops = np.flatnonzero(succ == ids)
+    pairs = np.flatnonzero((succ[succ] == ids) & (succ > ids))
+    short = np.concatenate((loops, np.stack((pairs, succ[pairs]), axis=1).ravel()))
+    visited = succ.astype(np.int64)
+    visited[short] = -1
+    nxt = array("q", visited.tobytes())
+    del ids, visited
     order = array("q")
     starts = array("q", [0])
-    for i in range(len(succ)):
-        if succ[i] < 0:
+    visit, close = order.append, starts.append
+    for i in range(len(nxt)):
+        if nxt[i] < 0:
             continue
         j = i
-        while (k := succ[j]) >= 0:
-            succ[j] = -1
-            order.append(j)
+        while (k := nxt[j]) >= 0:
+            nxt[j] = -1
+            visit(j)
             j = k
-        starts.append(len(order))
-    return CycleDecomposition(
-        perm.height, perm.width, np.frombuffer(order, np.int64), np.frombuffer(starts, np.int64)
+        close(len(order))
+    short_ends = np.concatenate(
+        (np.arange(1, loops.size + 1), loops.size + np.arange(2, 2 * pairs.size + 1, 2))
     )
+    return (
+        np.concatenate((np.frombuffer(order, np.int64), short)),
+        np.concatenate((np.frombuffer(starts, np.int64), len(order) + short_ends)),
+    )
+
+
+def cycle_decompose(perm: Permutation) -> CycleDecomposition:
+    """Orbits of the pass by a ruling-set walk.
+
+    1. In each of _HASHED_ROUNDS rounds, every marker (_is_marker) starts a
+       walker.  numpy steps all walkers along forward in lock-step,
+       recording each pixel's owner (walker) and rank (steps from its
+       marker), until a walker reaches the next marker or _STEP_CAP steps
+       have passed.  Round 0 hashes every pixel, round 1 those no walker
+       reached.  Walkers own disjoint pixels: a pixel has one predecessor.
+    2. Every pixel still unreached becomes a marker one step from its
+       successor.  This covers orbits without a hashed marker whatever the
+       hash, and bounds the worst case by about the cost of walking every
+       pixel in Python.
+    3. _walk finds the cycles of the marker graph, about one node in 32
+       pixels, in Python.
+    4. Each pixel's slot is its marker's offset plus its rank; numpy then
+       turns every cycle to start at its smallest index and sorts the
+       cycles by it.
+    """
+    n = perm.forward.size
+    owner, rank, succ, gap = _ruling_set(perm.forward)
+    node_order, node_starts = _walk(succ)
+
+    # Slots with the cycles in walk order, each from its first marker.
+    gap = gap[node_order]
+    seg_end = np.cumsum(gap)
+    first = np.empty(node_order.size, dtype=np.int32)
+    first[node_order] = seg_end - gap
+    cyc_start = np.concatenate(([0], seg_end[node_starts[1:] - 1]))
+    slot = first[owner]
+    slot += rank
+    del owner, rank
+    walked = np.empty(n, dtype=np.int32)
+    walked[slot] = np.arange(n, dtype=np.int32)
+
+    # Canonical form: cycles sorted by their smallest pixel (head), each
+    # turned to start there.  Heads arrive in a few ascending runs, which
+    # the stable sort (timsort) merges in about linear time.
+    head = np.minimum.reduceat(walked, cyc_start[:-1])
+    by_head = np.argsort(head, kind="stable")
+    source = cyc_start[:-1][by_head]
+    turn = slot[head[by_head]] - source
+    del slot
+    starts = np.zeros(by_head.size + 1, dtype=np.int64)
+    np.cumsum(np.diff(cyc_start)[by_head], out=starts[1:])
+    order = walked[_rotation_index(starts, source, turn)]
+    del walked
+    return CycleDecomposition(perm.height, perm.width, order.astype(np.int64), starts)
+
+
+def _rotation_index(starts: np.ndarray, source: np.ndarray, turn: np.ndarray) -> np.ndarray:
+    """int32 gather index that fills slot starts[c] + i of cycle c, of length
+    L = starts[c+1] - starts[c], from slot source[c] + (i + turn[c]) mod L,
+    where 0 <= turn[c] < L.  Every cycle is two runs of consecutive slots."""
+    length = np.diff(starts)
+    offset = source - starts[:-1] + turn
+    shift = np.stack((offset, offset - length), axis=1).ravel().astype(np.int32)
+    index = np.repeat(shift, np.stack((length - turn, turn), axis=1).ravel())
+    index += np.arange(starts[-1], dtype=np.int32)
+    return index
 
 
 def cycles_for(
@@ -146,27 +313,26 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
     pixel on one row; rows move as a whole.  Equivalent to applying the
     underlying permutation z times; z may be any int, huge or negative
     (negative z walks orbits backwards).  Slot starts[c] + i of cycle c
-    moves to slot starts[c] + (i + z) mod lengths[c]; the per-slot index
-    arrays are built one at a time and in place.
+    moves to slot starts[c] + (i + z) mod lengths[c]: the buffer is
+    gathered into slot order, each cycle rotated by one int32 gather index
+    and scattered back.
     """
     src = np.asarray(src)
     n = cycles.height * cycles.width
     if src.ndim not in (1, 2) or src.shape[0] != n:
         raise ParameterError(f"buffer must have shape ({n},) or ({n}, C), got {src.shape}")
     distinct, inv = np.unique(cycles.lengths, return_inverse=True)
-    shift = np.array([z % int(d) for d in distinct], dtype=np.int64)[inv]
-    dest = np.arange(n, dtype=np.int64)
-    dest -= np.repeat(cycles.starts[:-1], cycles.lengths)
-    dest += np.repeat(shift, cycles.lengths)
-    dest %= np.repeat(cycles.lengths, cycles.lengths)
-    dest += np.repeat(cycles.starts[:-1], cycles.lengths)
-    dest = cycles.order[dest]
-    fwd_z = np.empty_like(dest)
-    fwd_z[cycles.order] = dest
-    del dest
-    out = np.empty_like(src)
-    out[fwd_z] = src
-    return out
+    turn = np.array([-z % int(d) for d in distinct], dtype=np.int64)[inv]
+    # slot s now holds the pixel z steps behind it on its cycle
+    behind = _rotation_index(cycles.starts, cycles.starts[:-1], turn)
+    rows = np.ascontiguousarray(src)
+    if rows.ndim == 2 and rows.size and not rows.dtype.hasobject:
+        # one void item per row: a row moves as one unit, several times
+        # faster than a 2-D row gather
+        rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(n)
+    out = np.empty_like(rows)
+    out[cycles.order] = rows[cycles.order][behind]
+    return out.view(src.dtype).reshape(src.shape)
 
 
 def image_period(cycles: CycleDecomposition) -> int:

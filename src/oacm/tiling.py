@@ -14,6 +14,20 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
+# Index scratch in permutation.py is int32.  It holds pixel indices and
+# slots, at most N - 1, and differences of two of them (the shift of a run
+# of slots), at most N - 1 in size; every sum it forms is again a slot.  So
+# N <= 2**31 - 1 keeps every intermediate within int32.
+_MAX_PIXELS = 2**31 - 1
+
+
+def check_pixels(height: int, width: int) -> None:
+    """Refuse an image with more pixels than int32 index scratch can address."""
+    if height * width > _MAX_PIXELS:
+        raise ParameterError(
+            f"{height}x{width} = {height * width} pixels exceeds the limit of {_MAX_PIXELS}"
+        )
+
 
 def check_square(square_size: int, overlap: int) -> None:
     """Refuse a square side below 1 or an overlap outside [0, square_size)."""
@@ -33,6 +47,7 @@ class TilingParams:
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ParameterError(f"image dimensions must be >= 1, got {self.height}x{self.width}")
+        check_pixels(self.height, self.width)
         check_square(self.square_size, self.overlap)
         if self.square_size > min(self.height, self.width):
             raise ParameterError(

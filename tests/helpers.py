@@ -2,6 +2,7 @@
 
 import json
 import math
+from array import array
 
 import numpy as np
 from hypothesis import strategies as st
@@ -97,6 +98,29 @@ def mask_build_reference(tiling, p, q):
         xs[inside] = x0 + (mat.a * lx + mat.b * ly) % s
         ys[inside] = y0 + (mat.c * lx + mat.d * ly) % s
     return Permutation(h, w, ys * w + xs)
+
+
+def walk_decompose_reference(perm):
+    """Single-sweep orbit walk over one copy of the pass, which is also the
+    visited mask: walking a pixel overwrites its successor with -1.
+
+    One Python step per pixel; kept as the oracle for cycle_decompose.
+    """
+    succ = array("q", perm.forward.tobytes())
+    order = array("q")
+    starts = array("q", [0])
+    for i in range(len(succ)):
+        if succ[i] < 0:
+            continue
+        j = i
+        while (k := succ[j]) >= 0:
+            succ[j] = -1
+            order.append(j)
+            j = k
+        starts.append(len(order))
+    return CycleDecomposition(
+        perm.height, perm.width, np.frombuffer(order, np.int64), np.frombuffer(starts, np.int64)
+    )
 
 
 def synthetic_cycles(lengths):

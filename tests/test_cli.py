@@ -8,6 +8,7 @@ import pytest
 
 import oacm.acm
 import oacm.cli
+import oacm.permutation
 from helpers import oacm_perm
 from oacm import (
     AcmParams,
@@ -295,6 +296,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "scramble", "--key", key, "--in", str(bad),
                            "--out", str(tmp_path / "o.pnm"))
         assert code == 3
+
+    def test_oversize_image_exits_2_before_allocating(self, capsys, monkeypatch):
+        def allocating(params):
+            raise AssertionError("the cover of an oversize image was built")
+
+        monkeypatch.setattr(oacm.permutation, "square_locations", allocating)
+        code, out, err = run(
+            capsys, "period", "--height", "70000", "--width", "70000",
+            "--square-size", "8", "--overlap", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 70000x70000 = 4900000000 pixels exceeds the limit")
+        assert err.count("\n") == 1
 
     def test_memory_error_exits_4(self, capsys, monkeypatch):
         def exhausted(args):

@@ -14,6 +14,7 @@ from helpers import (
     oacm_perm,
     single_square,
     small_configs,
+    walk_decompose_reference,
 )
 from oacm import (
     AcmParams,
@@ -27,12 +28,22 @@ from oacm import (
     matrix_period,
     square_locations,
 )
+from oacm.permutation import _STEP_CAP, _is_marker
 
 
 class TestPermutationType:
     def test_rejects_non_bijection(self):
         with pytest.raises(ParameterError):
             Permutation(2, 2, np.array([0, 0, 1, 2]))
+
+    @pytest.mark.parametrize("forward", [[-1, 0, 1, 2], [0, 1, 2, 4]])
+    def test_rejects_indices_out_of_range(self, forward):
+        with pytest.raises(ParameterError, match="values in"):
+            Permutation(2, 2, np.array(forward))
+
+    def test_rejects_more_pixels_than_the_limit(self):
+        with pytest.raises(ParameterError, match="pixels"):
+            Permutation(2**16, 2**15, np.arange(1))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ParameterError):
@@ -157,6 +168,54 @@ class TestCycleDecompose:
         assert np.array_equal(cycles.order[1:], perm.forward[cycles.order[:-1]])
 
 
+def assert_matches_walk(perm):
+    got = cycle_decompose(perm)
+    ref = walk_decompose_reference(perm)
+    assert np.array_equal(got.order, ref.order)
+    assert np.array_equal(got.starts, ref.starts)
+
+
+class TestMatchesWalkReference:
+    @given(small_configs())
+    def test_small_configs(self, config):
+        assert_matches_walk(oacm_perm(*config))
+
+    @given(st.integers(1, 40), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_random_permutations(self, height, width, seed):
+        forward = np.random.default_rng(seed).permutation(height * width)
+        assert_matches_walk(Permutation(height, width, forward))
+
+    def test_identity(self):
+        assert_matches_walk(identity_perm(37, 41))
+        assert_matches_walk(identity_perm(0, 4))
+
+    def test_all_two_cycles(self):
+        assert_matches_walk(Permutation(30, 40, np.arange(1200) ^ 1))
+
+    def test_one_long_cycle(self):
+        assert_matches_walk(Permutation(30, 40, np.roll(np.arange(1200), -7)))
+
+    def test_dense_cover(self):
+        assert_matches_walk(oacm_perm(257, 300, 40, 39, p=2, q=3))
+
+    def test_cycles_through_unmarked_pixels(self):
+        # Cycle x runs through the round-0 markers, then half the pixels
+        # neither hashed round marks; cycle y through the round-1 markers,
+        # then the other half.  Each hashed round has one walker stopped by
+        # the step cap, and the last round picks up the rest.
+        n = 40 * 50
+        round0 = _is_marker(np.arange(n, dtype=np.uint64), 0)
+        round1 = _is_marker(np.arange(n, dtype=np.uint64), 1) & ~round0
+        unmarked = np.flatnonzero(~(round0 | round1))[::-1]
+        half = unmarked.size // 2
+        assert half > _STEP_CAP + 1 and round0.any() and round1.any()
+        forward = np.empty(n, dtype=np.int64)
+        for markers, tail in ((round0, unmarked[:half]), (round1, unmarked[half:])):
+            seq = np.concatenate((np.flatnonzero(markers), tail))
+            forward[seq] = np.roll(seq, -1)
+        assert_matches_walk(Permutation(40, 50, forward))
+
+
 class TestApplyIterations:
     def test_zero_iterations(self):
         cycles = cycle_decompose(oacm_perm(5, 5, 3, 1))
@@ -237,6 +296,29 @@ class TestApplyIterations:
         moved = np.empty_like(index)
         moved[naive] = index
         assert np.array_equal(apply_iterations(cycles, z, index), moved)
+
+    def test_public_arrays_stay_int64(self):
+        # index scratch is int32 inside the package; what it returns is not
+        perm = oacm_perm(30, 40, 12, 5, p=2, q=3)
+        cycles = cycle_decompose(perm)
+        assert perm.forward.dtype == np.int64
+        assert cycles.order.dtype == np.int64
+        assert cycles.starts.dtype == np.int64
+        assert cycles.lengths.dtype == np.int64
+        period = image_period(cycles)
+        src = np.random.default_rng(3).integers(0, 256, (1200, 3), dtype=np.uint8)
+        for z, step, times in (
+            (10**300 * period + 5, perm.forward, 5),
+            (-(10**300) * period - 3, invert(perm).forward, 3),
+        ):
+            naive = np.arange(1200)
+            for _ in range(times):
+                naive = step[naive]
+            expect = np.empty_like(src)
+            expect[naive] = src
+            out = apply_iterations(cycles, z, src)
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, expect)
 
     def test_inverse_cycles_undo_forward_cycles(self):
         perm = oacm_perm(10, 6, 4, 1, p=2, q=3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import square_count
 from oacm import ParameterError, TilingParams, square_locations
+from oacm.tiling import _MAX_PIXELS
 
 
 @st.composite
@@ -33,6 +34,17 @@ class TestParams:
             TilingParams(10, 10, 5, 5)
         with pytest.raises(ParameterError):
             TilingParams(10, 10, 5, -1)
+
+    def test_pixel_limit(self):
+        # int32 index scratch must hold every pixel index and every
+        # difference of two of them
+        assert _MAX_PIXELS == np.iinfo(np.int32).max
+        assert TilingParams(1, _MAX_PIXELS, 1, 0).width == _MAX_PIXELS
+        assert TilingParams(_MAX_PIXELS, 1, 1, 0).height == _MAX_PIXELS
+        with pytest.raises(ParameterError, match="pixels exceeds the limit"):
+            TilingParams(1, _MAX_PIXELS + 1, 1, 0)
+        with pytest.raises(ParameterError, match="pixels exceeds the limit"):
+            TilingParams(46341, 46341, 8, 0)  # 46341**2 = 2**31 + 4,633
 
     def test_dimensions_positive(self):
         with pytest.raises(ParameterError):
