@@ -1,6 +1,8 @@
 """Command-line surface: output formats, the library scramble path, exit codes."""
 
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +226,51 @@ class TestScrambleCli:
                   "--cache-dir", str(tmp_path / "cache")])
         assert exc.value.code == 2
         assert not (tmp_path / "s.pnm").exists()
+
+
+class TestPinnedBytes:
+    """Scrambled bytes at a photo-like two-square shape, pinned by SHA-256.
+
+    The samples come from random.Random, whose stream does not depend on
+    the numpy version.  A change to the pass, the orbits or the shift that
+    moves any byte fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "magic, height, width, maxval, key, digests",
+        [
+            (
+                b"P6", 108, 192, 255,
+                {"square_size": 108, "overlap": 24, "p": 1, "q": 1,
+                 "iterations": str(random.Random(480).randrange(10**479, 10**480))},
+                {"scramble": "96bd806bf0794447eea9091055b3c0f2c8c3de7d23198d52d7000bbeffb09526",
+                 "descramble": "3fb4acd06037b4e8ed32d73b5366f60dd5c31a7840baa08abb395185b7df553c"},
+            ),
+            (
+                b"P5", 100, 120, 15,
+                {"square_size": 10, "overlap": 3, "p": 2, "q": 3, "iterations": str(10**40 + 7)},
+                {"scramble": "09812ba0c280365b46c85f4f99711278a4256d19f422e4a2e2ab0d99b8ca411a",
+                 "descramble": "0b726401e95b4b270bc43d5cf37b9dbccfc93c9b9ae322c56f439b7c2e2ffbc1"},
+            ),
+        ],
+        ids=["P6-108x192-two-squares", "P5-100x120-maxval-15"],
+    )
+    def test_digests(self, capsys, tmp_path, magic, height, width, maxval, key, digests):
+        channels = 3 if magic == b"P6" else 1
+        raw = random.Random(height).randbytes(height * width * channels)
+        src = tmp_path / "plain.pnm"
+        src.write_bytes(
+            magic + f"\n{width} {height}\n{maxval}\n".encode() + bytes(b % (maxval + 1) for b in raw)
+        )
+        key_path = make_key(tmp_path, **key)
+        for command, digest in digests.items():
+            out = tmp_path / f"{command}.pnm"
+            assert run(capsys, command, "--key", key_path, "--in", str(src), "--out", str(out))[0] == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+        restored = tmp_path / "restored.pnm"
+        run(capsys, "descramble", "--key", key_path, "--in", str(tmp_path / "scramble.pnm"),
+            "--out", str(restored))
+        assert restored.read_bytes() == src.read_bytes()
 
 
 class TestMaxval:
