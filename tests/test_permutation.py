@@ -45,6 +45,29 @@ class TestPermutationType:
         with pytest.raises(ParameterError, match="pixels"):
             Permutation(2**16, 2**15, np.arange(1))
 
+    @pytest.mark.parametrize(
+        "forward",
+        [np.array([1.9, 0.2]), np.array([1.0, 0.0]), [1.0, 0.0], np.array([True, False])],
+        ids=["fractional", "integral-float", "float-list", "bool"],
+    )
+    def test_rejects_non_integer_forward(self, forward):
+        with pytest.raises(ParameterError, match="integer"):
+            Permutation(1, 2, forward)
+
+    @pytest.mark.parametrize(
+        "forward",
+        [
+            np.array([[1, 0], [3, 2]], dtype=np.int32).ravel(),
+            np.array([1, 0, 3, 2], dtype=np.uint16),
+            [1, 0, 3, 2],
+        ],
+        ids=["int32", "uint16", "int-list"],
+    )
+    def test_integer_forward_is_stored_as_int64(self, forward):
+        perm = Permutation(2, 2, forward)
+        assert perm.forward.dtype == np.int64
+        assert perm.forward.tolist() == [1, 0, 3, 2]
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ParameterError):
             Permutation(2, 2, np.arange(5))
