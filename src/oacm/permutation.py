@@ -31,7 +31,10 @@ class Permutation:
     def __post_init__(self):
         check_pixels(self.height, self.width)
         n = self.height * self.width
-        fwd = np.ascontiguousarray(self.forward, dtype=np.int64)
+        fwd = np.asarray(self.forward)
+        if fwd.dtype.kind not in "iu":
+            raise ParameterError(f"forward must hold integers, got dtype {fwd.dtype}")
+        fwd = np.ascontiguousarray(fwd, dtype=np.int64)
         object.__setattr__(self, "forward", fwd)
         if fwd.shape != (n,):
             raise ParameterError(f"forward must have shape ({n},), got {fwd.shape}")
