@@ -179,7 +179,8 @@ def read_image(path) -> RasterImage:
 def write_image(img: RasterImage, path) -> None:
     magic = b"P5" if img.channels == 1 else b"P6"
     header = magic + f"\n{img.width} {img.height}\n{img.maxval}\n".encode()
-    Path(path).write_bytes(header + img.samples.tobytes())
+    with open(path, "wb") as stream:
+        stream.writelines((header, img.samples))
 
 
 def shift_pixels(img: RasterImage, cycles: CycleDecomposition, z: int) -> RasterImage:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acm import AcmParams, inverse_map_matrix
+from .acm import AcmParams, map_matrix
 from .errors import ParameterError
 from .tiling import Tiling, TilingParams, check_pixels, square_locations
 
@@ -66,6 +66,12 @@ def _application_order(tiling: Tiling) -> list[tuple[int, int]]:
     return sorted(tiling.squares, key=lambda sq: (sq[1], -sq[0]))
 
 
+def _outer_mod(rows: np.ndarray, cols: np.ndarray, s: int) -> np.ndarray:
+    """rows[:, None] + cols[None, :] mod s, for entries already in [0, s)."""
+    out = np.add.outer(rows, cols)
+    return np.subtract(out, s, out=out, where=out >= s)
+
+
 def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     """Net permutation of one scramble pass over all squares of the tiling.
 
@@ -77,23 +83,23 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     """
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
-    inv = inverse_map_matrix(AcmParams(p, q, s))
+    m = map_matrix(AcmParams(p, q, s))
 
-    # occ[y, x] is the original index of the pixel now at (y, x).  One local
-    # gather index serves every square: the new block's slot (ly, lx) reads
-    # the old block's flat slot at the inverse image of (lx, ly).
-    lx = np.arange(s, dtype=np.int64)
-    ly = lx[:, None]
-    src = (inv.c * lx + inv.d * ly) % s * s + (inv.a * lx + inv.b * ly) % s
+    # Walking the squares backwards, grid[y, x] is where the squares walked
+    # so far send the pixel at (y, x): a block reads each slot's forward
+    # image, through one local gather index shared by every square.
+    lx = np.arange(s)
+    src = _outer_mod(m.d * lx % s, m.c * lx % s, s)
+    src *= s
+    src += _outer_mod(m.b * lx % s, m.a * lx % s, s)
 
     # int32 scratch: TilingParams refuses pixel counts it cannot index
-    occ = np.arange(h * w, dtype=np.int32).reshape(h, w)
-    for x0, y0 in _application_order(tiling):
-        block = occ[y0 : y0 + s, x0 : x0 + s]
+    grid = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    for x0, y0 in reversed(_application_order(tiling)):
+        block = grid[y0 : y0 + s, x0 : x0 + s]
         block[...] = np.take(block, src)
-    forward = np.empty(h * w, dtype=np.int64)
-    forward[occ.ravel()] = np.arange(h * w, dtype=np.int32)
-    return Permutation(h, w, forward)
+    del src
+    return Permutation(h, w, grid.ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +340,7 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
         # faster than a 2-D row gather
         rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(n)
     out = np.empty_like(rows)
-    out[cycles.order] = rows[cycles.order][behind]
+    out[cycles.order] = np.take(rows, cycles.order, axis=0)[behind]
     return out.view(src.dtype).reshape(src.shape)
 
 
