@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import key_json, oacm_perm
@@ -161,6 +161,62 @@ class TestReadImage:
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01\x02")
+        with pytest.raises(TruncatedDataError):
+            read_image(path)
+
+
+_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+_ODD_FIELDS = st.one_of(
+    st.integers(0, 10**30).map(lambda v: str(v).encode()),  # huge dimensions
+    st.sampled_from([b"0", b"256", b"65535", b"65536", b"0" * 40 + b"7", b"9" * 5000]),
+    st.sampled_from([b"+4", b"-1", b"4_0", b"0x10", b"1e3", b"\xd9\xa1", b"\xff"]),
+    st.binary(max_size=4),
+)
+_DIMENSIONS = st.integers(1, 6).map(lambda v: str(v).encode())
+
+
+@st.composite
+def netpbm_bytes(draw):
+    """Header bytes, mostly well-formed, then a short raster.
+
+    One part in eight is odd: the magic may be another netpbm variant or
+    junk; separators mix every whitespace byte with comments, some never
+    closed, or are missing; a field may be empty, signed, non-ASCII or
+    thousands of digits long; the file may be cut anywhere.  Trailing
+    bytes may follow.
+    """
+
+    def often(usual, odd):
+        return draw(draw(st.sampled_from([usual] * 7 + [odd])))
+
+    items = st.sampled_from(_WHITESPACE + [b"#", b"# note\n", b"#\r\n", b"# open"])
+    sep = st.lists(items, min_size=1, max_size=3).map(b"".join)
+    other_magic = st.sampled_from([b"P1", b"P3", b"P7", b"p5"]) | st.binary(max_size=2)
+    header = often(st.sampled_from([b"P5", b"P6"]), other_magic)
+    for field in (_DIMENSIONS, _DIMENSIONS, st.sampled_from([b"1", b"15", b"255"])):
+        header += often(sep, st.just(b"")) + often(field, _ODD_FIELDS)
+    header += often(st.sampled_from(_WHITESPACE), st.sampled_from([b"", b"#"]))
+    data = header + draw(st.binary(max_size=120))
+    data = often(st.just(data), st.integers(0, len(data)).map(lambda cut: data[:cut]))
+    return data + draw(st.binary(max_size=8))
+
+
+class TestHeaderFuzz:
+    @settings(max_examples=500)
+    @given(netpbm_bytes())
+    def test_only_documented_errors_escape(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+        path.write_bytes(data)
+        try:
+            img = read_image(path)
+        except (MalformedHeaderError, UnsupportedFormatError, TruncatedDataError, SampleRangeError):
+            return
+        assert data[:2] in (b"P5", b"P6")
+        assert img.samples.size == img.height * img.width * img.channels
+
+    def test_huge_dimensions_are_truncated_data(self, tmp_path):
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n" + b"9" * 4000 + b" 1\n255\n" + bytes(16))
         with pytest.raises(TruncatedDataError):
             read_image(path)
 
