@@ -149,12 +149,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, ImageFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ImageFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParameterError) else 3
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)

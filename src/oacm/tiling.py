@@ -10,7 +10,7 @@ price of covering every pixel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ParameterError
 
@@ -71,16 +71,8 @@ class Tiling:
     squares: tuple[tuple[int, int], ...]
 
     def to_json(self) -> str:
-        p = self.params
-        return json.dumps(
-            {
-                "height": p.height,
-                "width": p.width,
-                "square_size": p.square_size,
-                "overlap": p.overlap,
-                "squares": [list(sq) for sq in self.squares],
-            }
-        )
+        squares = [list(sq) for sq in self.squares]
+        return json.dumps({**asdict(self.params), "squares": squares})
 
 
 def _axis_coords(length: int, size: int, step: int) -> list[int]:
