@@ -258,14 +258,14 @@ class TestPinnedBytes:
     def test_digests(self, capsys, tmp_path, magic, height, width, maxval, key, digests):
         channels = 3 if magic == b"P6" else 1
         raw = random.Random(height).randbytes(height * width * channels)
+        samples = bytes(b % (maxval + 1) for b in raw)
         src = tmp_path / "plain.pnm"
-        src.write_bytes(
-            magic + f"\n{width} {height}\n{maxval}\n".encode() + bytes(b % (maxval + 1) for b in raw)
-        )
+        src.write_bytes(magic + f"\n{width} {height}\n{maxval}\n".encode() + samples)
         key_path = make_key(tmp_path, **key)
         for command, digest in digests.items():
             out = tmp_path / f"{command}.pnm"
-            assert run(capsys, command, "--key", key_path, "--in", str(src), "--out", str(out))[0] == 0
+            argv = [command, "--key", key_path, "--in", str(src), "--out", str(out)]
+            assert run(capsys, *argv)[0] == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
         restored = tmp_path / "restored.pnm"
         run(capsys, "descramble", "--key", key_path, "--in", str(tmp_path / "scramble.pnm"),
