@@ -98,7 +98,7 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     for x0, y0 in reversed(_application_order(tiling)):
         block = grid[y0 : y0 + s, x0 : x0 + s]
         block[...] = np.take(block, src)
-    del src
+    del src  # s*s intp: freed before Permutation copies the grid to int64
     return Permutation(h, w, grid.ravel())
 
 
