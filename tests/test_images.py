@@ -93,6 +93,18 @@ class TestReadImage:
         img = read_image(path)
         assert (img.height, img.width) == (2, 2)
 
+    def test_comment_glued_to_a_token(self, tmp_path):
+        # netpbm lets a comment start anywhere in the header, even right after a digit
+        path = tmp_path / "g.pgm"
+        path.write_bytes(b"P5\n2 2#c\n255\n" + bytes(range(4)))
+        img = read_image(path)
+        assert (img.height, img.width, img.maxval) == (2, 2, 255)
+        assert img.samples.tolist() == [0, 1, 2, 3]
+        path.write_bytes(b"P5#c\n3#a\n1#b\n15#c\n" + bytes(range(3)))
+        img = read_image(path)
+        assert (img.height, img.width, img.maxval) == (1, 3, 15)
+        assert img.samples.tolist() == [0, 1, 2]
+
     def test_single_space_header(self, tmp_path):
         path = tmp_path / "s.pgm"
         path.write_bytes(b"P5 2 2 255 " + bytes(4))
