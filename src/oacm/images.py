@@ -137,8 +137,9 @@ def _parse_header(data: bytes):
                 i = len(data) if nl < 0 else nl + 1
             else:
                 break
+        # a comment may start right after a digit, as netpbm allows
         start = i
-        while i < len(data) and not data[i : i + 1].isspace():
+        while i < len(data) and not (data[i : i + 1].isspace() or data[i : i + 1] == b"#"):
             i += 1
         if i == start:
             raise MalformedHeaderError("header ended before width, height and maxval were read")
@@ -150,7 +151,9 @@ def _parse_header(data: bytes):
             fields.append(int(token))
         except ValueError:  # more digits than int() converts
             raise MalformedHeaderError(f"header field of {len(token)} digits") from None
-    if i >= len(data):
+    if data[i : i + 1] == b"#":  # a glued comment's newline ends the header
+        i = data.find(b"\n", i)
+    if not 0 <= i < len(data):
         raise MalformedHeaderError("missing whitespace after maxval")
     i += 1  # exactly one whitespace byte separates header from raster
     width, height, maxval = fields

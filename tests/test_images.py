@@ -1,5 +1,8 @@
 """Netpbm I/O, key parsing, and keyed scrambling."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,10 +210,33 @@ def netpbm_bytes(draw):
     header = often(st.sampled_from([b"P5", b"P6"]), other_magic)
     for field in (_DIMENSIONS, _DIMENSIONS, st.sampled_from([b"1", b"15", b"255"])):
         header += often(sep, st.just(b"")) + often(field, _ODD_FIELDS)
-    header += often(st.sampled_from(_WHITESPACE), st.sampled_from([b"", b"#"]))
+    header += often(st.sampled_from(_WHITESPACE + [b"# glued\n"]), st.sampled_from([b"", b"#"]))
     data = header + draw(st.binary(max_size=120))
     data = often(st.just(data), st.integers(0, len(data)).map(lambda cut: data[:cut]))
     return data + draw(st.binary(max_size=8))
+
+
+@st.composite
+def valid_netpbm(draw):
+    """A well-formed file and its (channels, width, height, maxval, raster).
+
+    Header separators mix whitespace with comments, some glued to the
+    token before them; the last may be a glued comment, whose newline then
+    ends the header.
+    """
+    channels = draw(st.sampled_from([1, 3]))
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    maxval = draw(st.sampled_from([1, 15, 255]))
+    space = st.sampled_from(_WHITESPACE)
+    comment = st.sampled_from([b"#\n", b"# note\n", b"#\r\n", b"#P6 9 9 255\n"])
+    sep = st.lists(space | comment, min_size=1, max_size=3).map(b"".join)
+    data = b"P5" if channels == 1 else b"P6"
+    for field in (width, height, maxval):
+        data += draw(sep) + str(field).encode()
+    data += draw(space | comment)
+    count = width * height * channels
+    raster = bytes(draw(st.lists(st.integers(0, maxval), min_size=count, max_size=count)))
+    return data + raster, (channels, width, height, maxval, raster)
 
 
 class TestHeaderFuzz:
@@ -225,6 +251,16 @@ class TestHeaderFuzz:
             return
         assert data[:2] in (b"P5", b"P6")
         assert img.samples.size == img.height * img.width * img.channels
+
+    @given(valid_netpbm())
+    def test_well_formed_headers_read_back(self, tmp_path_factory, case):
+        data, (channels, width, height, maxval, raster) = case
+        path = tmp_path_factory.getbasetemp() / "valid.pnm"
+        path.write_bytes(data)
+        img = read_image(path)
+        assert (img.channels, img.width, img.height) == (channels, width, height)
+        assert img.maxval == maxval
+        assert img.samples.tobytes() == raster
 
     def test_huge_dimensions_are_truncated_data(self, tmp_path):
         path = tmp_path / "huge.pgm"
@@ -254,6 +290,76 @@ class TestWriteImage:
         path = tmp_path / "c.ppm"
         write_image(gradient_image(2, 2, 3), path)
         assert path.read_bytes().startswith(b"P6\n")
+
+
+_KEY_FIELDS = ("square_size", "overlap", "p", "q", "iterations")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _key_value(value):
+    """What a key field decodes to under the documented rule: an int, or a
+    string of ASCII digits; None if it must be refused."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        return int(value) if not limit or len(value) <= limit else None
+    return value if isinstance(value, int) else None
+
+
+@st.composite
+def _key_field(draw, clean):
+    """(JSON text of one field value, what it decodes to or None); a clean
+    field is a non-negative int, bare or quoted."""
+    kinds = ["int", "digits"] if clean else ["int", "digits", "long", "any", "any"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("int", "digits"):
+        wide = st.integers(0 if clean else -(10**30), 10**600)
+        value = draw(st.integers(0, 40) | wide)
+        value = value if kind == "int" else str(value)
+        return json.dumps(value), _key_value(value)
+    if kind == "long":  # around int()'s digit limit, bare or quoted
+        digits = "9" * draw(st.integers(4290, 4400))
+        return draw(st.sampled_from([digits, json.dumps(digits)])), _key_value(digits)
+    odd_digits = st.sampled_from(["\u0661\u0662", "\uff11", "1\u0662", "\u00b2", "+5", " 12"])
+    value = draw(_JSON_VALUES | odd_digits)
+    return json.dumps(value), _key_value(value)
+
+
+@st.composite
+def key_texts(draw):
+    """Key-file text and the KeyConfig fields it spells, or None where
+    from_json must refuse it.
+
+    Half the keys are clean: five fields, each a non-negative int.  The
+    rest mix fields of every JSON type, digit strings near int()'s limit
+    or in other scripts, missing and extra fields, and top-level values
+    that are not objects.
+    """
+    clean = draw(st.booleans())
+    present = list(_KEY_FIELDS)
+    if not clean and draw(st.booleans()):
+        present = draw(st.lists(st.sampled_from(_KEY_FIELDS), unique=True, max_size=5))
+    values = {name: draw(_key_field(clean)) for name in present}
+    extra_names = st.text(max_size=6).filter(lambda k: k not in _KEY_FIELDS)
+    extra = draw(st.dictionaries(extra_names, _JSON_VALUES, max_size=2))
+    items = [(json.dumps(k), text) for k, (text, _) in values.items()]
+    items += [(json.dumps(k), json.dumps(v)) for k, v in extra.items()]
+    text = "{" + ", ".join(f"{k}: {v}" for k, v in draw(st.permutations(items))) + "}"
+    fields = {name: decoded for name, (_, decoded) in values.items()}
+    shape = "object" if clean else draw(st.sampled_from(["object", "object", "list", "scalar"]))
+    if shape == "list":
+        return f"[{text}]", None
+    if shape == "scalar":
+        return json.dumps(draw(_JSON_VALUES.filter(lambda v: not isinstance(v, dict)))), None
+    if len(fields) < len(_KEY_FIELDS) or None in fields.values():
+        return text, None
+    return text, fields
 
 
 class TestKeyConfig:
@@ -291,6 +397,22 @@ class TestKeyConfig:
             text = '{"square_size": 4, "overlap": 0, "p": 1, "q": 1, "iterations": %s}' % bad
             with pytest.raises(ParameterError):
                 KeyConfig.from_json(text)
+
+    @settings(max_examples=400)
+    @given(key_texts())
+    def test_fuzz_only_parameter_errors_escape(self, case):
+        text, fields = case
+        try:
+            key = KeyConfig.from_json(text)
+        except ParameterError:
+            in_domain = fields is not None and (
+                0 <= fields["overlap"] < fields["square_size"]
+                and min(fields["p"], fields["q"], fields["iterations"]) >= 0
+            )
+            assert not in_domain, text[:200]
+            return
+        assert fields is not None, text[:200]
+        assert key == KeyConfig(**fields)
 
     def test_rejects_out_of_domain_values(self):
         with pytest.raises(ParameterError):
