@@ -122,85 +122,94 @@ class CycleDecomposition:
 
 
 # Ruling-set markers: in hashed round r (0 or 1), an unreached pixel i
-# becomes a marker when bits 59 - 5r to 63 - 5r of its Fibonacci hash
-# i * _MARKER_HASH mod 2**64 are zero, one pixel in 32.  A hash, not a
-# stride: markers at multiples of 32 line up with the cat map's lattice and
-# leave most orbits without one.
+# makes its successor a marker when bits 59 - 5r to 63 - 5r of its
+# Fibonacci hash i * _MARKER_HASH mod 2**64 are zero, one pixel in 32.  A
+# hash, not a stride: markers at multiples of 32 line up with the cat map's
+# lattice and leave most orbits without one.
 _MARKER_HASH = np.uint64(0x9E3779B97F4A7C15)
 _HASHED_ROUNDS = 2
-# Steps a walker takes before it stops where it stands; ranks are uint16.
+# Steps a walker takes before it stops where it stands.
 _STEP_CAP = 256
 
 
-def _is_marker(h: np.ndarray, rnd: int = 0) -> np.ndarray:
-    """Whether each pixel index in h (uint64, overwritten with its hash)
-    is a hashed marker of round rnd."""
+def _is_hashed(h: np.ndarray, rnd: int = 0) -> np.ndarray:
+    """Whether round rnd hashes each pixel index in h (uint64, overwritten
+    with its hash)."""
     h *= _MARKER_HASH
     h >>= np.uint64(59 - 5 * rnd)
     h &= np.uint64(31)
     return h == 0
 
 
-def _lockstep(fwd, is_marker, owner, rank, heads: np.ndarray, first_id: int):
-    """Walk from every marker pixel in heads, with ids first_id onwards,
-    along fwd in lock-step until each reaches a marker or has taken
-    _STEP_CAP steps; record owner and rank of every pixel stepped on.
-
-    Returns per walker the pixel it stopped before and the steps to it.  A
-    capped walker stops before its next pixel, which no walker can reach;
-    a later round makes it a marker.
-    """
-    nxt = np.empty(heads.size, dtype=np.int64)
-    gap = np.full(heads.size, _STEP_CAP + 1, dtype=np.int64)
-    walkers = np.arange(heads.size, dtype=np.int32)
-    owner[heads] = walkers + first_id
-    pos = heads
-    for step in range(1, _STEP_CAP + 1):
-        if not walkers.size:
-            break
-        pos = fwd[pos]
-        stop = is_marker[pos]
-        nxt[walkers[stop]] = pos[stop]
-        gap[walkers[stop]] = step
-        go = ~stop
-        pos = pos[go]
-        walkers = walkers[go]
-        owner[pos] = walkers + first_id
-        rank[pos] = step
-    nxt[walkers] = fwd[pos]
-    return nxt, gap
-
-
 def _ruling_set(fwd: np.ndarray):
     """Steps 1 and 2 of cycle_decompose.
 
-    Returns, per pixel, owner (the marker it hangs off, as a marker id) and
-    rank (steps from that marker), and per marker id, succ (the next
-    marker) and gap (steps to it).  Marker ids run round by round, each
-    round in pixel order.
+    Returns per marker id its pixel (markers), the next marker (succ) and
+    the steps to it (gap); marker ids run round by round, each round in
+    pixel order.  Every other pixel is on the trail: trail[x] lies
+    rank steps from marker who[x], for the ranks and trail slices that
+    runs lists as (rank, start, end).
     """
     n = fwd.size
-    # hash first: its n-sized scratch is freed before the per-pixel arrays exist
-    heads = np.flatnonzero(_is_marker(np.arange(n, dtype=np.uint64)))
-    owner = np.full(n, -1, dtype=np.int32)
-    rank = np.zeros(n, dtype=np.uint16)
-    is_marker = np.zeros(n, dtype=bool)
-    nxts, gaps = [], []
-    k = 0  # markers so far
+    # A pixel that a round hashes makes its successor a marker: code[i] is
+    # fwd[i], or ~fwd[i] when fwd[i] is a marker, so a step is one gather
+    # and a sign test.
+    hashed = np.flatnonzero(_is_hashed(np.arange(n, dtype=np.uint64)))
+    code = fwd.astype(np.int32)
+    trail = np.empty(n, dtype=np.int32)
+    who = np.empty(n, dtype=np.int32)
+    reached = np.zeros(n, dtype=bool)
+    markers, nxts, gaps, runs, stops = [], [], [], [], []
+    t = k = 0  # trail length, markers so far
     for rnd in range(_HASHED_ROUNDS):
         if rnd:
-            heads = rest[_is_marker(rest.astype(np.uint64), rnd)]
-        is_marker[heads] = True
-        nxt, gap = _lockstep(fwd, is_marker, owner, rank, heads, k)
+            # only unreached pixels step now; a successor of one is
+            # unreached too, unless it is a marker already
+            hashed = rest[(code[rest] >= 0) & _is_hashed(rest.astype(np.uint64), rnd)]
+        heads = code[hashed]
+        code[hashed] = ~heads
+        heads.sort()
+        reached[heads] = True
+        # Walkers step in lock-step; a step onto a marker lands on the trail
+        # as ~marker, and the walker stops there.
+        ids = np.arange(k, k + heads.size, dtype=np.int32)
+        pos, walkers, start, bounds = heads, ids, t, [t]
+        for _ in range(_STEP_CAP):
+            if not pos.size:
+                break
+            pos = code.take(pos)
+            trail[t : t + pos.size] = pos
+            who[t : t + pos.size] = walkers
+            t += pos.size
+            bounds.append(t)
+            go = pos >= 0
+            pos, walkers = pos[go], walkers[go]
+        # A capped walker stops before its next pixel, which no walker can
+        # reach; a later round makes it a marker.
+        nxt = np.empty(heads.size, dtype=np.int32)
+        nxt[walkers - k] = code[pos]
+        np.invert(nxt, out=nxt, where=nxt < 0)
+        gap = np.full(heads.size, _STEP_CAP + 1, dtype=np.int64)
+        code[heads] = ids  # pixel -> marker id: no walker steps off a marker again
+        stop = np.flatnonzero(trail[start:t] < 0) + start
+        trail[stop] = ~trail[stop]
+        nxt[who[stop] - k] = trail[stop]
+        gap[who[stop] - k] = np.searchsorted(bounds, stop, side="right")
+        runs += zip(range(1, len(bounds)), bounds[:-1], bounds[1:])
+        stops.append(stop)
+        reached[trail[start:t]] = True
+        rest = np.flatnonzero(~reached)
+        markers.append(heads)
         nxts.append(nxt)
         gaps.append(gap)
         k += heads.size
-        rest = np.flatnonzero(owner < 0)
+    del reached
     # every pixel still unreached is a marker one step from its successor
-    owner[rest] = np.arange(k, k + rest.size, dtype=np.int32)
-    succ = owner[np.concatenate((*nxts, fwd[rest]))]
+    code[rest] = np.arange(k, k + rest.size, dtype=np.int32)
+    succ = code[np.concatenate((*nxts, fwd[rest]))]
+    markers = np.concatenate((*markers, rest), dtype=np.int32)
     gap = np.concatenate((*gaps, np.ones(rest.size, dtype=np.int64)))
-    return owner, rank, succ, gap
+    return markers, succ, gap, trail[:t], who[:t], runs, np.concatenate(stops)
 
 
 def _walk(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +269,7 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
        cycles by it.
     """
     n = perm.forward.size
-    owner, rank, succ, gap = _ruling_set(perm.forward)
+    markers, succ, gap, trail, who, runs, stops = _ruling_set(perm.forward)
     node_order, node_starts = _walk(succ)
 
     # Slots with the cycles in walk order, each from its first marker.
@@ -269,11 +278,18 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
     first = np.empty(node_order.size, dtype=np.int32)
     first[node_order] = seg_end - gap
     cyc_start = np.concatenate(([0], seg_end[node_starts[1:] - 1]))
-    slot = first[owner]
-    slot += rank
-    del owner, rank
-    walked = np.empty(n, dtype=np.int32)
-    walked[slot] = np.arange(n, dtype=np.int32)
+    # who becomes the slots in place, a run at a time: np.take on the whole
+    # trail would hold intp copies of it
+    for rank, start, end in runs:
+        slot = who[start:end]
+        first.take(slot, out=slot)
+        slot += rank
+    who[stops] = n  # a walker's last step, onto a marker, goes to a spare slot
+    walked = np.empty(n + 1, dtype=np.int32)
+    walked[first] = markers
+    walked[who] = trail
+    walked = walked[:n]
+    del trail, who
 
     # Canonical form: cycles sorted by their smallest pixel (head), each
     # turned to start there.  Heads arrive in a few ascending runs, which
@@ -281,8 +297,8 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
     head = np.minimum.reduceat(walked, cyc_start[:-1])
     by_head = np.argsort(head, kind="stable")
     source = cyc_start[:-1][by_head]
-    turn = slot[head[by_head]] - source
-    del slot
+    head_slot = np.flatnonzero(walked == np.repeat(head, np.diff(cyc_start)))
+    turn = head_slot[by_head] - source
     starts = np.zeros(by_head.size + 1, dtype=np.int64)
     np.cumsum(np.diff(cyc_start)[by_head], out=starts[1:])
     order = walked[_rotation_index(starts, source, turn)]
@@ -322,9 +338,11 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
     pixel on one row; rows move as a whole.  Equivalent to applying the
     underlying permutation z times; z may be any int, huge or negative
     (negative z walks orbits backwards).  Slot starts[c] + i of cycle c
-    moves to slot starts[c] + (i + z) mod lengths[c]: the buffer is
-    gathered into slot order, each cycle rotated by one int32 gather index
-    and scattered back.
+    moves to slot starts[c] + (i + z) mod lengths[c].  One gather index,
+    composed once, names for every pixel the pixel z steps behind it; each
+    channel plane is gathered through it and scattered back on its own,
+    since an 8-bit plane stays in cache where a buffer of whole rows does
+    not.
     """
     src = np.asarray(src)
     n = cycles.height * cycles.width
@@ -332,16 +350,14 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
         raise ParameterError(f"buffer must have shape ({n},) or ({n}, C), got {src.shape}")
     distinct, inv = np.unique(cycles.lengths, return_inverse=True)
     turn = np.array([-z % int(d) for d in distinct], dtype=np.int64)[inv]
-    # slot s now holds the pixel z steps behind it on its cycle
-    behind = _rotation_index(cycles.starts, cycles.starts[:-1], turn)
-    rows = np.ascontiguousarray(src)
-    if rows.ndim == 2 and rows.size and not rows.dtype.hasobject:
-        # one void item per row: a row moves as one unit, several times
-        # faster than a 2-D row gather
-        rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(n)
-    out = np.empty_like(rows)
-    out[cycles.order] = np.take(rows, cycles.order, axis=0)[behind]
-    return out.view(src.dtype).reshape(src.shape)
+    source = cycles.order[_rotation_index(cycles.starts, cycles.starts[:-1], turn)]
+    out = np.empty_like(src)
+    moved = np.empty(n, dtype=src.dtype)
+    for channel in np.ndindex(src.shape[1:]):
+        column = (slice(None), *channel)
+        moved[cycles.order] = np.take(np.ascontiguousarray(src[column]), source)
+        out[column] = moved
+    return out
 
 
 def image_period(cycles: CycleDecomposition) -> int:

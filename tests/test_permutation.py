@@ -28,7 +28,7 @@ from oacm import (
     matrix_period,
     square_locations,
 )
-from oacm.permutation import _STEP_CAP, _is_marker
+from oacm.permutation import _STEP_CAP, _is_hashed
 
 
 class TestPermutationType:
@@ -222,13 +222,13 @@ class TestMatchesWalkReference:
         assert_matches_walk(oacm_perm(257, 300, 40, 39, p=2, q=3))
 
     def test_cycles_through_unmarked_pixels(self):
-        # Cycle x runs through the round-0 markers, then half the pixels
-        # neither hashed round marks; cycle y through the round-1 markers,
-        # then the other half.  Each hashed round has one walker stopped by
-        # the step cap, and the last round picks up the rest.
+        # Cycle x runs through the pixels round 0 hashes, then half the
+        # pixels neither hashed round hashes; cycle y through the pixels
+        # round 1 hashes, then the other half.  Each hashed round has one
+        # walker stopped by the step cap, and the last round picks up the rest.
         n = 40 * 50
-        round0 = _is_marker(np.arange(n, dtype=np.uint64), 0)
-        round1 = _is_marker(np.arange(n, dtype=np.uint64), 1) & ~round0
+        round0 = _is_hashed(np.arange(n, dtype=np.uint64), 0)
+        round1 = _is_hashed(np.arange(n, dtype=np.uint64), 1) & ~round0
         unmarked = np.flatnonzero(~(round0 | round1))[::-1]
         half = unmarked.size // 2
         assert half > _STEP_CAP + 1 and round0.any() and round1.any()
