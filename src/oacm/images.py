@@ -189,7 +189,8 @@ def write_image(img: RasterImage, path) -> None:
 def shift_pixels(img: RasterImage, cycles: CycleDecomposition, z: int) -> RasterImage:
     """Move every pixel z steps along the orbits (negative z moves back).
 
-    All channels of a pixel move together in one gather.
+    All channels of a pixel move to the same place, one channel plane at
+    a time.
     """
     out = apply_iterations(cycles, z, img.samples.reshape(-1, img.channels))
     return RasterImage(img.height, img.width, img.channels, out.reshape(-1), img.maxval)

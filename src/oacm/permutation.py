@@ -146,9 +146,10 @@ def _ruling_set(fwd: np.ndarray):
 
     Returns per marker id its pixel (markers), the next marker (succ) and
     the steps to it (gap); marker ids run round by round, each round in
-    pixel order.  Every other pixel is on the trail: trail[x] lies
-    rank steps from marker who[x], for the ranks and trail slices that
-    runs lists as (rank, start, end).
+    pixel order.  The trail holds every other pixel, and one entry per
+    walker that stopped on a marker, at the trail positions in stops:
+    trail[x] lies rank steps from marker who[x], for the ranks and trail
+    slices that runs lists as (rank, start, end).
     """
     n = fwd.size
     # A pixel that a round hashes makes its successor a marker: code[i] is
@@ -165,7 +166,8 @@ def _ruling_set(fwd: np.ndarray):
         if rnd:
             # only unreached pixels step now; a successor of one is
             # unreached too, unless it is a marker already
-            hashed = rest[(code[rest] >= 0) & _is_hashed(rest.astype(np.uint64), rnd)]
+            hashed = rest[_is_hashed(rest.astype(np.uint64), rnd)]
+            hashed = hashed[code[hashed] >= 0]
         heads = code[hashed]
         code[hashed] = ~heads
         heads.sort()
@@ -184,8 +186,8 @@ def _ruling_set(fwd: np.ndarray):
             bounds.append(t)
             go = pos >= 0
             pos, walkers = pos[go], walkers[go]
-        # A capped walker stops before its next pixel, which no walker can
-        # reach; a later round makes it a marker.
+        # A capped walker stops before its next pixel.  No walker can reach
+        # that pixel, so unless it is a marker it ends as one of its own.
         nxt = np.empty(heads.size, dtype=np.int32)
         nxt[walkers - k] = code[pos]
         np.invert(nxt, out=nxt, where=nxt < 0)
@@ -252,21 +254,22 @@ def _walk(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cycle_decompose(perm: Permutation) -> CycleDecomposition:
     """Orbits of the pass by a ruling-set walk.
 
-    1. In each of _HASHED_ROUNDS rounds, every marker (_is_marker) starts a
-       walker.  numpy steps all walkers along forward in lock-step,
-       recording each pixel's owner (walker) and rank (steps from its
-       marker), until a walker reaches the next marker or _STEP_CAP steps
-       have passed.  Round 0 hashes every pixel, round 1 those no walker
-       reached.  Walkers own disjoint pixels: a pixel has one predecessor.
+    1. In each of _HASHED_ROUNDS rounds, the successor of every pixel the
+       round hashes (_is_hashed) becomes a marker and starts a walker.
+       numpy steps all walkers along forward in lock-step, appending each
+       step's pixels and walkers to a trail, until a walker reaches the
+       next marker or _STEP_CAP steps have passed.  Round 0 hashes every
+       pixel, round 1 those no walker reached.  Walkers reach disjoint
+       pixels: a pixel has one predecessor.
     2. Every pixel still unreached becomes a marker one step from its
        successor.  This covers orbits without a hashed marker whatever the
        hash, and bounds the worst case by about the cost of walking every
        pixel in Python.
     3. _walk finds the cycles of the marker graph, about one node in 32
        pixels, in Python.
-    4. Each pixel's slot is its marker's offset plus its rank; numpy then
-       turns every cycle to start at its smallest index and sorts the
-       cycles by it.
+    4. A trail pixel's slot is its marker's offset plus its rank, and one
+       scatter puts every pixel in its slot; numpy then turns every cycle
+       to start at its smallest index and sorts the cycles by it.
     """
     n = perm.forward.size
     markers, succ, gap, trail, who, runs, stops = _ruling_set(perm.forward)

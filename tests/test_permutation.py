@@ -215,6 +215,15 @@ class TestMatchesWalkReference:
     def test_all_two_cycles(self):
         assert_matches_walk(Permutation(30, 40, np.arange(1200) ^ 1))
 
+    def test_all_three_cycles(self):
+        # too short to hold a hashed marker mostly: nearly every pixel is
+        # left unreached and becomes a marker of its own
+        i = np.arange(1200)
+        assert_matches_walk(Permutation(30, 40, i - i % 3 + (i + 1) % 3))
+
+    def test_small_square_cover(self):
+        assert_matches_walk(oacm_perm(60, 90, 3, 0))
+
     def test_one_long_cycle(self):
         assert_matches_walk(Permutation(30, 40, np.roll(np.arange(1200), -7)))
 
@@ -288,11 +297,23 @@ class TestApplyIterations:
     def test_multichannel_rows_move_like_each_channel(self):
         cycles = cycle_decompose(oacm_perm(7, 9, 4, 2, p=2, q=3))
         rng = np.random.default_rng(2)
-        src = rng.integers(0, 256, (63, 3), dtype=np.uint8)
-        for z in (1, 17, -5, 10**40):
-            out = apply_iterations(cycles, z, src)
-            for c in range(3):
-                assert np.array_equal(out[:, c], apply_iterations(cycles, z, src[:, c].copy()))
+        rgb = rng.integers(0, 256, (63, 3), dtype=np.uint8)
+        wide = rng.integers(-(2**62), 2**62, (63, 5))
+        buffers = [
+            rgb,
+            np.asfortranarray(rgb),
+            wide[:, 1:4:2],  # strided columns
+            wide[:, :2],
+            wide[:, 3:4],
+        ]
+        for src in buffers:
+            for z in (1, 17, -5, 10**40):
+                out = apply_iterations(cycles, z, src)
+                assert out.shape == src.shape and out.dtype == src.dtype
+                for c in range(src.shape[1]):
+                    alone = apply_iterations(cycles, z, src[:, c].copy())
+                    assert np.array_equal(out[:, c], alone)
+                    assert np.array_equal(apply_iterations(cycles, z, src[:, c]), alone)
 
     def test_values_conserved(self):
         cycles = cycle_decompose(oacm_perm(7, 11, 5, 1, p=4, q=2))
