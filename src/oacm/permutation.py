@@ -130,6 +130,7 @@ _MARKER_HASH = np.uint64(0x9E3779B97F4A7C15)
 _HASHED_ROUNDS = 2
 # Steps a walker takes before it stops where it stands.
 _STEP_CAP = 256
+_REACHED = np.iinfo(np.int32).min  # code of a pixel whose round is over
 
 
 def _is_hashed(h: np.ndarray, rnd: int = 0) -> np.ndarray:
@@ -141,15 +142,20 @@ def _is_hashed(h: np.ndarray, rnd: int = 0) -> np.ndarray:
     return h == 0
 
 
+def _nonzero(test, a: np.ndarray, value, chunk: int = 1 << 18) -> np.ndarray:
+    """np.flatnonzero(test(a, value)) without an a-sized mask."""
+    ends = range(0, max(a.size, 1), chunk)  # one empty chunk when a is empty
+    return np.concatenate([np.flatnonzero(test(a[i : i + chunk], value)) + i for i in ends])
+
+
 def _ruling_set(fwd: np.ndarray):
     """Steps 1 and 2 of cycle_decompose.
 
     Returns per marker id its pixel (markers), the next marker (succ) and
-    the steps to it (gap); marker ids run round by round, each round in
-    pixel order.  The trail holds every other pixel, and one entry per
-    walker that stopped on a marker, at the trail positions in stops:
-    trail[x] lies rank steps from marker who[x], for the ranks and trail
-    slices that runs lists as (rank, start, end).
+    the steps to it (gap); ids run round by round, each in pixel order.
+    The trail holds every other pixel, trail[x] rank steps from marker
+    who[x] for the (rank, start, end) slices in runs, and at the positions
+    in stops one entry per walker that stopped on a marker.
     """
     n = fwd.size
     # A pixel that a round hashes makes its successor a marker: code[i] is
@@ -159,8 +165,7 @@ def _ruling_set(fwd: np.ndarray):
     code = fwd.astype(np.int32)
     trail = np.empty(n, dtype=np.int32)
     who = np.empty(n, dtype=np.int32)
-    reached = np.zeros(n, dtype=bool)
-    markers, nxts, gaps, runs, stops = [], [], [], [], []
+    rounds, runs = [], []
     t = k = 0  # trail length, markers so far
     for rnd in range(_HASHED_ROUNDS):
         if rnd:
@@ -171,11 +176,9 @@ def _ruling_set(fwd: np.ndarray):
         heads = code[hashed]
         code[hashed] = ~heads
         heads.sort()
-        reached[heads] = True
         # Walkers step in lock-step; a step onto a marker lands on the trail
         # as ~marker, and the walker stops there.
-        ids = np.arange(k, k + heads.size, dtype=np.int32)
-        pos, walkers, start, bounds = heads, ids, t, [t]
+        pos, walkers, start, bounds = heads, np.arange(k, k + heads.size, dtype=np.int32), t, [t]
         for _ in range(_STEP_CAP):
             if not pos.size:
                 break
@@ -192,25 +195,22 @@ def _ruling_set(fwd: np.ndarray):
         nxt[walkers - k] = code[pos]
         np.invert(nxt, out=nxt, where=nxt < 0)
         gap = np.full(heads.size, _STEP_CAP + 1, dtype=np.int64)
-        code[heads] = ids  # pixel -> marker id: no walker steps off a marker again
-        stop = np.flatnonzero(trail[start:t] < 0) + start
+        stop = _nonzero(np.less, trail[start:t], 0) + start
         trail[stop] = ~trail[stop]
         nxt[who[stop] - k] = trail[stop]
         gap[who[stop] - k] = np.searchsorted(bounds, stop, side="right")
         runs += zip(range(1, len(bounds)), bounds[:-1], bounds[1:])
-        stops.append(stop)
-        reached[trail[start:t]] = True
-        rest = np.flatnonzero(~reached)
-        markers.append(heads)
-        nxts.append(nxt)
-        gaps.append(gap)
+        rounds.append((heads, nxt, gap, stop))
         k += heads.size
-    del reached
+        # no walker steps off a pixel this round reached again
+        code[heads] = code[trail[start:t]] = _REACHED
+        rest = _nonzero(np.not_equal, code, _REACHED)
     # every pixel still unreached is a marker one step from its successor
-    code[rest] = np.arange(k, k + rest.size, dtype=np.int32)
-    succ = code[np.concatenate((*nxts, fwd[rest]))]
-    markers = np.concatenate((*markers, rest), dtype=np.int32)
-    gap = np.concatenate((*gaps, np.ones(rest.size, dtype=np.int64)))
+    heads, nxt, gap, stops = zip(*rounds)
+    markers = np.concatenate((*heads, rest), dtype=np.int32)
+    code[markers] = np.arange(markers.size, dtype=np.int32)  # now pixel -> marker id
+    succ = code[np.concatenate((*nxt, fwd[rest]))]
+    gap = np.concatenate((*gap, np.ones(rest.size, dtype=np.int64)))
     return markers, succ, gap, trail[:t], who[:t], runs, np.concatenate(stops)
 
 
@@ -284,9 +284,8 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
     # who becomes the slots in place, a run at a time: np.take on the whole
     # trail would hold intp copies of it
     for rank, start, end in runs:
-        slot = who[start:end]
-        first.take(slot, out=slot)
-        slot += rank
+        first.take(who[start:end], out=who[start:end])
+        who[start:end] += rank
     who[stops] = n  # a walker's last step, onto a marker, goes to a spare slot
     walked = np.empty(n + 1, dtype=np.int32)
     walked[first] = markers
@@ -341,11 +340,10 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
     pixel on one row; rows move as a whole.  Equivalent to applying the
     underlying permutation z times; z may be any int, huge or negative
     (negative z walks orbits backwards).  Slot starts[c] + i of cycle c
-    moves to slot starts[c] + (i + z) mod lengths[c].  One gather index,
-    composed once, names for every pixel the pixel z steps behind it; each
-    channel plane is gathered through it and scattered back on its own,
-    since an 8-bit plane stays in cache where a buffer of whole rows does
-    not.
+    moves to slot starts[c] + (i + z) mod lengths[c].  Each channel plane
+    is gathered on its own, through one index of the pixel z steps behind
+    every slot, and scattered back: an 8-bit plane stays in cache where a
+    buffer of whole rows does not.
     """
     src = np.asarray(src)
     n = cycles.height * cycles.width
@@ -355,10 +353,12 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
     turn = np.array([-z % int(d) for d in distinct], dtype=np.int64)[inv]
     source = cycles.order[_rotation_index(cycles.starts, cycles.starts[:-1], turn)]
     out = np.empty_like(src)
-    moved = np.empty(n, dtype=src.dtype)
+    plane, moved = np.empty((2, n), dtype=src.dtype)
     for channel in np.ndindex(src.shape[1:]):
         column = (slice(None), *channel)
-        moved[cycles.order] = np.take(np.ascontiguousarray(src[column]), source)
+        # "clip" writes straight into plane: source is in range
+        np.take(src[column], source, out=plane, mode="clip")
+        moved[cycles.order] = plane
         out[column] = moved
     return out
 
