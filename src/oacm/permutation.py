@@ -142,10 +142,10 @@ def _is_hashed(h: np.ndarray, rnd: int = 0) -> np.ndarray:
     return h == 0
 
 
-def _nonzero(test, a: np.ndarray, value, chunk: int = 1 << 18) -> np.ndarray:
-    """np.flatnonzero(test(a, value)) without an a-sized mask."""
-    ends = range(0, max(a.size, 1), chunk)  # one empty chunk when a is empty
-    return np.concatenate([np.flatnonzero(test(a[i : i + chunk], value)) + i for i in ends])
+def _nonzero(mask, size: int, chunk: int = 1 << 18) -> np.ndarray:
+    """Indices below size where mask(lo, hi) holds, without a size-long mask."""
+    ends = range(0, max(size, 1), chunk)  # one empty chunk when size is 0
+    return np.concatenate([np.flatnonzero(mask(i, min(i + chunk, size))) + i for i in ends])
 
 
 def _ruling_set(fwd: np.ndarray):
@@ -158,9 +158,8 @@ def _ruling_set(fwd: np.ndarray):
     in stops one entry per walker that stopped on a marker.
     """
     n = fwd.size
-    # A pixel that a round hashes makes its successor a marker: code[i] is
-    # fwd[i], or ~fwd[i] when fwd[i] is a marker, so a step is one gather
-    # and a sign test.
+    # code[i] is fwd[i], or ~fwd[i] when fwd[i] is a marker (the successor
+    # of a hashed pixel): a step is one gather and a sign test.
     hashed = np.flatnonzero(_is_hashed(np.arange(n, dtype=np.uint64)))
     code = fwd.astype(np.int32)
     trail = np.empty(n, dtype=np.int32)
@@ -169,9 +168,10 @@ def _ruling_set(fwd: np.ndarray):
     t = k = 0  # trail length, markers so far
     for rnd in range(_HASHED_ROUNDS):
         if rnd:
-            # only unreached pixels step now; a successor of one is
-            # unreached too, unless it is a marker already
-            hashed = rest[_is_hashed(rest.astype(np.uint64), rnd)]
+            # unreached pixels step now; their successors are unreached or markers
+            hashed = rest[
+                _nonzero(lambda lo, hi: _is_hashed(rest[lo:hi].astype(np.uint64), rnd), rest.size)
+            ]
             hashed = hashed[code[hashed] >= 0]
         heads = code[hashed]
         code[hashed] = ~heads
@@ -195,7 +195,7 @@ def _ruling_set(fwd: np.ndarray):
         nxt[walkers - k] = code[pos]
         np.invert(nxt, out=nxt, where=nxt < 0)
         gap = np.full(heads.size, _STEP_CAP + 1, dtype=np.int64)
-        stop = _nonzero(np.less, trail[start:t], 0) + start
+        stop = _nonzero(lambda lo, hi: trail[start + lo : start + hi] < 0, t - start) + start
         trail[stop] = ~trail[stop]
         nxt[who[stop] - k] = trail[stop]
         gap[who[stop] - k] = np.searchsorted(bounds, stop, side="right")
@@ -204,7 +204,7 @@ def _ruling_set(fwd: np.ndarray):
         k += heads.size
         # no walker steps off a pixel this round reached again
         code[heads] = code[trail[start:t]] = _REACHED
-        rest = _nonzero(np.not_equal, code, _REACHED)
+        rest = _nonzero(lambda lo, hi: code[lo:hi] != _REACHED, n)
     # every pixel still unreached is a marker one step from its successor
     heads, nxt, gap, stops = zip(*rounds)
     markers = np.concatenate((*heads, rest), dtype=np.int32)
@@ -286,12 +286,13 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
     for rank, start, end in runs:
         first.take(who[start:end], out=who[start:end])
         who[start:end] += rank
-    who[stops] = n  # a walker's last step, onto a marker, goes to a spare slot
-    walked = np.empty(n + 1, dtype=np.int32)
-    walked[first] = markers
+    # a walker's last step, onto a marker, is overwritten by the markers
+    who[stops] = first[:1]
+    walked = np.empty(n, dtype=np.int32)
     walked[who] = trail
-    walked = walked[:n]
-    del trail, who
+    walked[first] = markers
+    # freed now: medium arrays left between large ones fragment the heap
+    del trail, who, markers, first, succ, gap, seg_end, node_order, node_starts
 
     # Canonical form: cycles sorted by their smallest pixel (head), each
     # turned to start there.  Heads arrive in a few ascending runs, which
