@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,35 +56,68 @@ class Permutation:
         )
 
 
-def _application_order(tiling: Tiling) -> list[tuple[int, int]]:
-    """Corners in the order a pass visits them: rows top to bottom, each row
-    right to left.
-
-    Orderings of more than two squares are not conjugate to each other, so
-    the cycle structure (and every period) depends on this choice; the
-    reference periods pinned in the test suite fix it.
-    """
-    return sorted(tiling.squares, key=lambda sq: (sq[1], -sq[0]))
-
-
 def _outer_mod(rows: np.ndarray, cols: np.ndarray, s: int) -> np.ndarray:
     """rows[:, None] + cols[None, :] mod s, for entries already in [0, s)."""
     out = np.add.outer(rows, cols)
     return np.subtract(out, s, out=out, where=out >= s)
 
 
+# Applying a row of squares a block at a time costs about
+# len(xs) * (_CALL_PX + s*s) moves of a block pixel: _CALL_PX is one numpy
+# call's overhead in such moves.  Applying it as one gather over the s*w
+# band is counted as 2 * s * w: a band that spills the cache pays 2-3 block
+# moves a pixel.  On a 2-core x86 host (numpy 2.4, 1920-wide bands, p=2
+# q=3), a block gather took 2.2 us a call plus 2.3 ns a pixel (a call is
+# about 960 pixels), and a band gather 1.7-1.9 ns a pixel for s <= 100 but
+# 3.6-6.9 ns for s from 200 to 540.
+_CALL_PX = 1000
+
+
+def _rows(tiling: Tiling) -> list[tuple[int, tuple[int, ...]]]:
+    """The squares as (y, x corners ascending), one entry per row, rows by
+    ascending y.  Refuses a corner that puts a square outside the image."""
+    params = tiling.params
+    x_max, y_max = params.width - params.square_size, params.height - params.square_size
+    grouped = defaultdict(list)
+    for x0, y0 in tiling.squares:
+        grouped[y0].append(x0)
+    rows = sorted((y0, tuple(sorted(xs))) for y0, xs in grouped.items())
+    for y0, xs in rows:
+        for x0 in (xs[0], xs[-1]):
+            if not (0 <= x0 <= x_max and 0 <= y0 <= y_max):
+                raise ParameterError(
+                    f"square corner ({x0}, {y0}) is outside [0, {x_max}] x [0, {y_max}]"
+                )
+    return rows
+
+
+def _walk_row(target: np.ndarray, xs: tuple[int, ...], s: int, src: np.ndarray) -> None:
+    """Walk one row's squares backwards, left to right, over target, a band
+    s rows high: each block gathers its slots' forward images through src."""
+    for x0 in xs:
+        block = target[:, x0 : x0 + s]
+        block[...] = block.take(src)
+
+
 def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     """Net permutation of one scramble pass over all squares of the tiling.
 
-    Each square, in _application_order, applies the (p, q) cat map on its
-    own local coordinates, with the modulus equal to the square side.
-    Descrambling walks the orbits of this same pass backwards.  Each square
-    costs one s*s gather, so a pass costs O(sum of s^2) whatever the image
-    size.
+    Each square applies the (p, q) cat map on its own local coordinates,
+    with the modulus equal to the square side.  A pass visits rows top to
+    bottom, each row right to left.  Orderings of more than two squares are
+    not conjugate to each other, so the cycle structure (and every period)
+    depends on this order; the reference periods pinned in the test suite
+    fix it.  Descrambling walks the orbits of this same pass backwards.
+
+    Each square costs one s*s gather, so a pass costs O(sum of s^2)
+    whatever the image size.  A row whose x corners recur further up is
+    instead applied as one gather over its band, built once per distinct
+    row, when _CALL_PX rates that cheaper.
     """
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
     m = map_matrix(AcmParams(p, q, s))
+    rows = _rows(tiling)
 
     # Walking the squares backwards, grid[y, x] is where the squares walked
     # so far send the pixel at (y, x): a block reads each slot's forward
@@ -93,12 +127,24 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     src *= s
     src += _outer_mod(m.b * lx % s, m.a * lx % s, s)
 
+    # Every row's squares gather within its band, so a row acts on the band
+    # as one gather: the row walked over an identity strip.
+    uses = Counter(xs for _, xs in rows)
+    composites = {}
     # int32 scratch: TilingParams refuses pixel counts it cannot index
     grid = np.arange(h * w, dtype=np.int32).reshape(h, w)
-    for x0, y0 in reversed(_application_order(tiling)):
-        block = grid[y0 : y0 + s, x0 : x0 + s]
-        block[...] = np.take(block, src)
-    del src  # s*s intp: freed before Permutation copies the grid to int64
+    for y0, xs in reversed(rows):
+        band = grid[y0 : y0 + s]
+        uses[xs] -= 1
+        composite = composites.get(xs)
+        if composite is None and uses[xs] and len(xs) * (_CALL_PX + s * s) > 2 * s * w:
+            composite = composites[xs] = np.arange(s * w).reshape(s, w)
+            _walk_row(composite, xs, s, src)
+        if composite is None:
+            _walk_row(band, xs, s, src)
+        else:
+            band[...] = band.take(composite)
+    del src, composites  # freed before Permutation copies the grid to int64
     return Permutation(h, w, grid.ravel())
 
 

@@ -13,12 +13,12 @@ from oacm import (
     Mat2,
     ParameterError,
     Permutation,
+    Tiling,
     TilingParams,
     build_oacm_permutation,
     map_matrix,
     square_locations,
 )
-from oacm.permutation import _application_order
 
 
 def single_square(n):
@@ -78,7 +78,8 @@ def cycle_list(cycles):
 
 
 def mask_build_reference(tiling, p, q):
-    """The map applied as a map: every pixel is tested against every square.
+    """The map applied as a map: every pixel is tested against every square,
+    square by square in pass order: rows top to bottom, each right to left.
 
     O(squares x pixels); kept as the oracle for build_oacm_permutation.
     """
@@ -91,7 +92,7 @@ def mask_build_reference(tiling, p, q):
     xs, ys = np.meshgrid(np.arange(w, dtype=np.int64), np.arange(h, dtype=np.int64))
     xs = xs.ravel()
     ys = ys.ravel()
-    for x0, y0 in _application_order(tiling):
+    for x0, y0 in sorted(tiling.squares, key=lambda sq: (sq[1], -sq[0])):
         inside = (xs >= x0) & (xs < x0 + s) & (ys >= y0) & (ys < y0 + s)
         lx = xs[inside] - x0
         ly = ys[inside] - y0
@@ -139,6 +140,31 @@ def small_configs(draw, max_pixels=1024):
     p = draw(st.integers(0, 5))
     q = draw(st.integers(0, 5))
     return height, width, size, overlap, p, q
+
+
+@st.composite
+def arbitrary_tilings(draw, max_pixels=1024):
+    """A Tiling with its corners anywhere in the image and in any order,
+    with p and q.  Rows may share their x corners or differ in them (also
+    at the same count) and repeat a corner or a row; each axis runs with
+    step 1 or step size (overlap 0) or takes any corners."""
+    height = draw(st.integers(1, 32))
+    width = draw(st.integers(1, max(1, max_pixels // height)))
+    size = draw(st.integers(1, min(height, width)))
+    count = draw(st.integers(1, 6))
+
+    def corners(limit):
+        run = st.builds(
+            lambda start, step: list(range(start, limit + 1, step)),
+            st.integers(0, limit),
+            st.sampled_from([1, size]),
+        )
+        return st.one_of(run, st.lists(st.integers(0, limit), min_size=count, max_size=count))
+
+    x_sets = draw(st.lists(corners(width - size), min_size=1, max_size=3))
+    squares = [(x, y) for y in draw(corners(height - size)) for x in draw(st.sampled_from(x_sets))]
+    tiling = Tiling(TilingParams(height, width, size, 0), tuple(draw(st.permutations(squares))))
+    return tiling, draw(st.integers(0, 5)), draw(st.integers(0, 5))
 
 
 def matrix_period_linear(params):

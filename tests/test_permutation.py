@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
+    arbitrary_tilings,
     compose,
     cycle_list,
     identity_perm,
@@ -20,6 +21,7 @@ from oacm import (
     AcmParams,
     ParameterError,
     Permutation,
+    Tiling,
     TilingParams,
     apply_iterations,
     build_oacm_permutation,
@@ -93,6 +95,13 @@ class TestBuild:
         with pytest.raises(ParameterError):
             oacm_perm(4, 4, 2, 0, p=-1)
 
+    @pytest.mark.parametrize("corner", [(-10, 0), (8, 0), (-3, 0), (0, 5)])
+    def test_refuses_corner_outside_the_image(self, corner):
+        # corners of a 4-square in a 6x10 image lie in [0, 6] x [0, 2]
+        tiling = Tiling(TilingParams(6, 10, 4, 0), ((0, 0), corner))
+        with pytest.raises(ParameterError, match="outside"):
+            build_oacm_permutation(tiling, 1, 1)
+
 
 class TestMatchesMaskReference:
     @given(small_configs())
@@ -101,11 +110,24 @@ class TestMatchesMaskReference:
         tiling = square_locations(TilingParams(h, w, s, o))
         assert build_oacm_permutation(tiling, p, q) == mask_build_reference(tiling, p, q), config
 
+    @given(arbitrary_tilings())
+    @example((Tiling(TilingParams(8, 20, 3, 0), ((17, 2), (4, 2), (0, 2), (4, 2))), 2, 3))
+    def test_arbitrary_tilings(self, case):
+        tiling, p, q = case
+        assert build_oacm_permutation(tiling, p, q) == mask_build_reference(tiling, p, q), case
+
     def test_dense_cover(self):
-        # Step 1: every pixel away from the border lies in 64 squares.
-        tiling = square_locations(TilingParams(24, 32, 8, 7))
-        assert len(tiling.squares) == 17 * 25
-        assert build_oacm_permutation(tiling, 2, 3) == mask_build_reference(tiling, 2, 3)
+        for h, w, s, o, squares in [
+            # step 1: every pixel away from the border lies in 64 squares
+            (24, 32, 8, 7, 17 * 25),
+            (24, 32, 1, 0, 24 * 32),
+            (24, 32, 3, 0, 8 * 11),
+            # rows of 15 squares of 40 gather a block at a time
+            (80, 600, 40, 0, 2 * 15),
+        ]:
+            tiling = square_locations(TilingParams(h, w, s, o))
+            assert len(tiling.squares) == squares
+            assert build_oacm_permutation(tiling, 2, 3) == mask_build_reference(tiling, 2, 3), s
 
 
 class TestInvertCompose:
