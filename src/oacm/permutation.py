@@ -10,7 +10,6 @@ at O(1) cost per pixel regardless of z.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -65,12 +64,14 @@ def _outer_mod(rows: np.ndarray, cols: np.ndarray, s: int) -> np.ndarray:
 # Applying a row of squares a block at a time costs about
 # len(xs) * (_CALL_PX + s*s) moves of a block pixel: _CALL_PX is one numpy
 # call's overhead in such moves.  Applying it as one gather over the s*w
-# band is counted as 2 * s * w: a band that spills the cache pays 2-3 block
-# moves a pixel.  On a 2-core x86 host (numpy 2.4, 1920-wide bands, p=2
-# q=3), a block gather took 2.2 us a call plus 2.3 ns a pixel (a call is
-# about 960 pixels), and a band gather 1.7-1.9 ns a pixel for s <= 100 but
-# 3.6-6.9 ns for s from 200 to 540.
+# band costs one such move a pixel while the band has at most _BAND_PX
+# pixels, and two beyond, where it spills the cache.  On a 2-core x86 host
+# (numpy 2.4, 1920-wide bands, p=2 q=3), a block gather took 2.2 us a call
+# plus 2.3 ns a pixel (a call is about 960 pixels), and a band gather
+# 2.0-2.5 ns a pixel up to 100 rows (192,000 pixels), 2.6-2.8 ns at 112 to
+# 128 rows and 3.6-9.7 ns from 160 to 540 rows.
 _CALL_PX = 1000
+_BAND_PX = 200_000
 
 
 def _rows(tiling: Tiling) -> list[tuple[int, tuple[int, ...]]]:
@@ -112,7 +113,7 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     Each square costs one s*s gather, so a pass costs O(sum of s^2)
     whatever the image size.  A row whose x corners recur further up is
     instead applied as one gather over its band, built once per distinct
-    row, when _CALL_PX rates that cheaper.
+    row, when _CALL_PX and _BAND_PX rate that cheaper.
     """
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
@@ -130,6 +131,7 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     # Every row's squares gather within its band, so a row acts on the band
     # as one gather: the row walked over an identity strip.
     uses = Counter(xs for _, xs in rows)
+    band_moves = s * w * (1 if s * w <= _BAND_PX else 2)
     composites = {}
     # int32 scratch: TilingParams refuses pixel counts it cannot index
     grid = np.arange(h * w, dtype=np.int32).reshape(h, w)
@@ -137,15 +139,19 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
         band = grid[y0 : y0 + s]
         uses[xs] -= 1
         composite = composites.get(xs)
-        if composite is None and uses[xs] and len(xs) * (_CALL_PX + s * s) > 2 * s * w:
+        if composite is None and uses[xs] and len(xs) * (_CALL_PX + s * s) > band_moves:
             composite = composites[xs] = np.arange(s * w).reshape(s, w)
             _walk_row(composite, xs, s, src)
         if composite is None:
             _walk_row(band, xs, s, src)
         else:
             band[...] = band.take(composite)
-    del src, composites  # freed before Permutation copies the grid to int64
-    return Permutation(h, w, grid.ravel())
+    del src, composites  # freed before the grid is copied to int64
+    # A bijection by construction, so Permutation's checks are skipped: they
+    # cost as much as the rest of a build of large squares.
+    perm = object.__new__(Permutation)
+    perm.__dict__.update(height=h, width=w, forward=grid.ravel().astype(np.int64))
+    return perm
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,25 +173,21 @@ class CycleDecomposition:
         object.__setattr__(self, "lengths", np.diff(self.starts))
 
 
-# Ruling-set markers: in hashed round r (0 or 1), an unreached pixel i
-# makes its successor a marker when bits 59 - 5r to 63 - 5r of its
-# Fibonacci hash i * _MARKER_HASH mod 2**64 are zero, one pixel in 32.  A
-# hash, not a stride: markers at multiples of 32 line up with the cat map's
-# lattice and leave most orbits without one.
+# Ruling-set markers: a pixel i makes its successor a marker when the top
+# five bits of its Fibonacci hash i * _MARKER_HASH mod 2**64 are zero, one
+# pixel in 32.  A hash, not a stride: markers at multiples of 32 line up
+# with the cat map's lattice and leave most orbits without one.
 _MARKER_HASH = np.uint64(0x9E3779B97F4A7C15)
-_HASHED_ROUNDS = 2
 # Steps a walker takes before it stops where it stands.
 _STEP_CAP = 256
-_REACHED = np.iinfo(np.int32).min  # code of a pixel whose round is over
+_REACHED = np.iinfo(np.int32).min  # code of a pixel some walker reached
 
 
-def _is_hashed(h: np.ndarray, rnd: int = 0) -> np.ndarray:
-    """Whether round rnd hashes each pixel index in h (uint64, overwritten
-    with its hash)."""
-    h *= _MARKER_HASH
-    h >>= np.uint64(59 - 5 * rnd)
-    h &= np.uint64(31)
-    return h == 0
+def _is_hashed(i: np.ndarray) -> np.ndarray:
+    """Whether each pixel index in i (uint64, overwritten with its hash) is
+    hashed."""
+    i *= _MARKER_HASH
+    return i < np.uint64(1 << 59)
 
 
 def _nonzero(mask, size: int, chunk: int = 1 << 18) -> np.ndarray:
@@ -198,138 +200,124 @@ def _ruling_set(fwd: np.ndarray):
     """Steps 1 and 2 of cycle_decompose.
 
     Returns per marker id its pixel (markers), the next marker (succ) and
-    the steps to it (gap); ids run round by round, each in pixel order.
-    The trail holds every other pixel, trail[x] rank steps from marker
-    who[x] for the (rank, start, end) slices in runs, and at the positions
-    in stops one entry per walker that stopped on a marker.
+    the steps to it (gap); hashed markers come first, then the others, each
+    in pixel order.  The trail holds every other pixel: trail[x] is r steps
+    from marker who[x] for x in [bounds[r-1], bounds[r]), and at the
+    positions in stops one entry per walker that stopped on a marker.
     """
     n = fwd.size
     # code[i] is fwd[i], or ~fwd[i] when fwd[i] is a marker (the successor
     # of a hashed pixel): a step is one gather and a sign test.
     hashed = np.flatnonzero(_is_hashed(np.arange(n, dtype=np.uint64)))
     code = fwd.astype(np.int32)
+    heads = code[hashed]
+    code[hashed] = ~heads
+    heads.sort()
+    del hashed
     trail = np.empty(n, dtype=np.int32)
     who = np.empty(n, dtype=np.int32)
-    rounds, runs = [], []
-    t = k = 0  # trail length, markers so far
-    for rnd in range(_HASHED_ROUNDS):
-        if rnd:
-            # unreached pixels step now; their successors are unreached or markers
-            hashed = rest[
-                _nonzero(lambda lo, hi: _is_hashed(rest[lo:hi].astype(np.uint64), rnd), rest.size)
-            ]
-            hashed = hashed[code[hashed] >= 0]
-        heads = code[hashed]
-        code[hashed] = ~heads
-        heads.sort()
-        # Walkers step in lock-step; a step onto a marker lands on the trail
-        # as ~marker, and the walker stops there.
-        pos, walkers, start, bounds = heads, np.arange(k, k + heads.size, dtype=np.int32), t, [t]
-        for _ in range(_STEP_CAP):
-            if not pos.size:
-                break
-            pos = code.take(pos)
-            trail[t : t + pos.size] = pos
-            who[t : t + pos.size] = walkers
-            t += pos.size
-            bounds.append(t)
-            go = pos >= 0
-            pos, walkers = pos[go], walkers[go]
-        # A capped walker stops before its next pixel.  No walker can reach
-        # that pixel, so unless it is a marker it ends as one of its own.
-        nxt = np.empty(heads.size, dtype=np.int32)
-        nxt[walkers - k] = code[pos]
-        np.invert(nxt, out=nxt, where=nxt < 0)
-        gap = np.full(heads.size, _STEP_CAP + 1, dtype=np.int64)
-        stop = _nonzero(lambda lo, hi: trail[start + lo : start + hi] < 0, t - start) + start
-        trail[stop] = ~trail[stop]
-        nxt[who[stop] - k] = trail[stop]
-        gap[who[stop] - k] = np.searchsorted(bounds, stop, side="right")
-        runs += zip(range(1, len(bounds)), bounds[:-1], bounds[1:])
-        rounds.append((heads, nxt, gap, stop))
-        k += heads.size
-        # no walker steps off a pixel this round reached again
-        code[heads] = code[trail[start:t]] = _REACHED
-        rest = _nonzero(lambda lo, hi: code[lo:hi] != _REACHED, n)
-    # every pixel still unreached is a marker one step from its successor
-    heads, nxt, gap, stops = zip(*rounds)
-    markers = np.concatenate((*heads, rest), dtype=np.int32)
+    # Walkers step in lock-step; a step onto a marker lands on the trail as
+    # ~marker, and the walker stops there.
+    pos, walkers, t, bounds = heads, np.arange(heads.size, dtype=np.int32), 0, [0]
+    for _ in range(_STEP_CAP):
+        if not pos.size:
+            break
+        pos = code.take(pos)
+        trail[t : t + pos.size] = pos
+        who[t : t + pos.size] = walkers
+        t += pos.size
+        bounds.append(t)
+        go = pos >= 0
+        pos, walkers = pos[go], walkers[go]
+    # A capped walker stops before its next pixel.  No walker can reach
+    # that pixel, so unless it is a marker it ends as one of its own.
+    nxt = np.empty(heads.size, dtype=np.int32)
+    nxt[walkers] = code[pos]
+    np.invert(nxt, out=nxt, where=nxt < 0)
+    gap = np.full(heads.size, _STEP_CAP + 1, dtype=np.int32)
+    stops = _nonzero(lambda lo, hi: trail[lo:hi] < 0, t)
+    trail[stops] = ~trail[stops]
+    nxt[who[stops]] = trail[stops]
+    gap[who[stops]] = np.searchsorted(bounds, stops, side="right")
+    # Every pixel no walker reached is a marker one step from its successor.
+    code[heads] = code[trail[:t]] = _REACHED
+    rest = _nonzero(lambda lo, hi: code[lo:hi] != _REACHED, n)
+    markers = np.concatenate((heads, rest), dtype=np.int32)
     code[markers] = np.arange(markers.size, dtype=np.int32)  # now pixel -> marker id
-    succ = code[np.concatenate((*nxt, fwd[rest]))]
-    gap = np.concatenate((*gap, np.ones(rest.size, dtype=np.int64)))
-    return markers, succ, gap, trail[:t], who[:t], runs, np.concatenate(stops)
+    succ = code[np.concatenate((nxt, fwd[rest]))]
+    gap = np.concatenate((gap, np.ones(rest.size, dtype=np.int32)))
+    return markers, succ, gap, trail[:t], who[:t], bounds, stops
 
 
-def _walk(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the bijection succ as (order, starts), cycles in no
-    particular order.
+def _close(succ: np.ndarray, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step 3 of cycle_decompose: lay the cycles of the marker graph out in
+    slots, gap[i] slots per node i, by pointer jumping.
 
-    Cycles of one and two nodes are closed in numpy.  The rest take one
-    self-marking walk: a copy of succ is also the visited mask, walking a
-    node overwrites its successor with -1.
+    Returns per node its slot, and the slot bounds of the cycles, which run
+    by their smallest node, each from that node (its head).
     """
-    ids = np.arange(succ.size)
-    loops = np.flatnonzero(succ == ids)
-    pairs = np.flatnonzero((succ[succ] == ids) & (succ > ids))
-    short = np.concatenate((loops, np.stack((pairs, succ[pairs]), axis=1).ravel()))
-    visited = succ.astype(np.int64)
-    visited[short] = -1
-    nxt = array("q", visited.tobytes())
-    del ids, visited
-    order = array("q")
-    starts = array("q", [0])
-    visit, close = order.append, starts.append
-    for i in range(len(nxt)):
-        if nxt[i] < 0:
-            continue
-        j = i
-        while (k := nxt[j]) >= 0:
-            nxt[j] = -1
-            visit(j)
-            j = k
-        close(len(order))
-    short_ends = np.concatenate(
-        (np.arange(1, loops.size + 1), loops.size + np.arange(2, 2 * pairs.size + 1, 2))
-    )
-    return (
-        np.concatenate((np.frombuffer(order, np.int64), short)),
-        np.concatenate((np.frombuffer(starts, np.int64), len(order) + short_ends)),
-    )
+    ids = np.arange(succ.size, dtype=np.int32)
+    # lab[i] is the smallest of the 2**r nodes from i along succ, and jump
+    # is succ applied 2**r times.  lab stops changing exactly when 2**r
+    # covers the longest cycle: until then, the node 2**r before a cycle's
+    # head has not seen it.  Index arrays are intp: numpy gathers through
+    # int32 indices at about half the speed.
+    lab, jump, rounds = ids.copy(), succ.astype(np.intp), 0
+    while ((ahead := lab[jump]) < lab).any():
+        np.minimum(lab, ahead, out=lab)
+        jump = jump[jump]
+        rounds += 1
+    del ahead, jump
+    heads = np.flatnonzero(lab == ids)
+    # Wyllie's list ranking toward the heads: ptr[i] is the node 2**r on
+    # from i, or its head if that comes first, and dist[i] the slots from i
+    # to ptr[i].  The same number of rounds takes every ptr to its head.
+    dist, ptr = gap.copy(), succ.astype(np.intp)
+    dist[heads] = 0
+    ptr[heads] = heads
+    for _ in range(rounds):
+        dist += dist[ptr]
+        ptr = ptr[ptr]
+    del ptr
+    length = gap[heads] + dist[succ[heads]]
+    cyc_start = np.zeros(heads.size + 1, dtype=np.int64)
+    np.cumsum(length, out=cyc_start[1:])
+    # a node sits dist slots before the end of its cycle, a head at its start
+    end = ids  # reused: no longer needed as ids
+    end[heads] = cyc_start[1:]
+    slot = end[lab]
+    slot -= dist
+    slot[heads] = cyc_start[:-1]
+    return slot, cyc_start
 
 
 def cycle_decompose(perm: Permutation) -> CycleDecomposition:
     """Orbits of the pass by a ruling-set walk.
 
-    1. In each of _HASHED_ROUNDS rounds, the successor of every pixel the
-       round hashes (_is_hashed) becomes a marker and starts a walker.
-       numpy steps all walkers along forward in lock-step, appending each
-       step's pixels and walkers to a trail, until a walker reaches the
-       next marker or _STEP_CAP steps have passed.  Round 0 hashes every
-       pixel, round 1 those no walker reached.  Walkers reach disjoint
-       pixels: a pixel has one predecessor.
-    2. Every pixel still unreached becomes a marker one step from its
+    1. The successor of every pixel that _is_hashed picks, about one in 32,
+       becomes a marker and starts a walker.  numpy steps all walkers along
+       forward in lock-step, appending each step's pixels and walkers to a
+       trail, until a walker reaches the next marker or _STEP_CAP steps
+       have passed.  Walkers reach disjoint pixels: a pixel has one
+       predecessor.
+    2. Every pixel no walker reached becomes a marker one step from its
        successor.  This covers orbits without a hashed marker whatever the
-       hash, and bounds the worst case by about the cost of walking every
-       pixel in Python.
-    3. _walk finds the cycles of the marker graph, about one node in 32
-       pixels, in Python.
-    4. A trail pixel's slot is its marker's offset plus its rank, and one
+       hash, and the rest of a path cut off by the step cap.
+    3. Pointer jumping over the marker graph (next marker, steps to it)
+       labels each node with the smallest node of its cycle and ranks it by
+       its slots from there (_close).  No Python loop runs per node: about
+       log2 of the longest marker cycle numpy rounds do.
+    4. A trail pixel's slot is its marker's slot plus its rank, and one
        scatter puts every pixel in its slot; numpy then turns every cycle
        to start at its smallest index and sorts the cycles by it.
     """
     n = perm.forward.size
-    markers, succ, gap, trail, who, runs, stops = _ruling_set(perm.forward)
-    node_order, node_starts = _walk(succ)
-
-    # Slots with the cycles in walk order, each from its first marker.
-    gap = gap[node_order]
-    seg_end = np.cumsum(gap)
-    first = np.empty(node_order.size, dtype=np.int32)
-    first[node_order] = seg_end - gap
-    cyc_start = np.concatenate(([0], seg_end[node_starts[1:] - 1]))
+    markers, succ, gap, trail, who, bounds, stops = _ruling_set(perm.forward)
+    first, cyc_start = _close(succ, gap)
+    del succ, gap
     # who becomes the slots in place, a run at a time: np.take on the whole
     # trail would hold intp copies of it
-    for rank, start, end in runs:
+    for rank, (start, end) in enumerate(zip(bounds, bounds[1:]), 1):
         first.take(who[start:end], out=who[start:end])
         who[start:end] += rank
     # a walker's last step, onto a marker, is overwritten by the markers
@@ -338,7 +326,7 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
     walked[who] = trail
     walked[first] = markers
     # freed now: medium arrays left between large ones fragment the heap
-    del trail, who, markers, first, succ, gap, seg_end, node_order, node_starts
+    del trail, who, markers, first
 
     # Canonical form: cycles sorted by their smallest pixel (head), each
     # turned to start there.  Heads arrive in a few ascending runs, which

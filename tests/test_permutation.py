@@ -30,7 +30,7 @@ from oacm import (
     matrix_period,
     square_locations,
 )
-from oacm.permutation import _STEP_CAP, _is_hashed
+from oacm.permutation import _STEP_CAP, _is_hashed, _ruling_set
 
 
 class TestPermutationType:
@@ -253,21 +253,37 @@ class TestMatchesWalkReference:
         assert_matches_walk(oacm_perm(257, 300, 40, 39, p=2, q=3))
 
     def test_cycles_through_unmarked_pixels(self):
-        # Cycle x runs through the pixels round 0 hashes, then half the
-        # pixels neither hashed round hashes; cycle y through the pixels
-        # round 1 hashes, then the other half.  Each hashed round has one
-        # walker stopped by the step cap, and the last round picks up the rest.
+        # Cycle x runs through the hashed pixels, then half the others: the
+        # walker from the first of those stops at the step cap, and the rest
+        # of that path becomes one-step markers.  Cycle y runs through the
+        # other half, holds no hashed pixel and so no walker, and becomes a
+        # cycle of one-step markers.
         n = 40 * 50
-        round0 = _is_hashed(np.arange(n, dtype=np.uint64), 0)
-        round1 = _is_hashed(np.arange(n, dtype=np.uint64), 1) & ~round0
-        unmarked = np.flatnonzero(~(round0 | round1))[::-1]
-        half = unmarked.size // 2
-        assert half > _STEP_CAP + 1 and round0.any() and round1.any()
+        hashed = _is_hashed(np.arange(n, dtype=np.uint64))
+        unhashed = np.flatnonzero(~hashed)[::-1]
+        half = unhashed.size // 2
+        assert half > _STEP_CAP + 1 and hashed.any()
         forward = np.empty(n, dtype=np.int64)
-        for markers, tail in ((round0, unmarked[:half]), (round1, unmarked[half:])):
-            seq = np.concatenate((np.flatnonzero(markers), tail))
+        for seq in (np.concatenate((np.flatnonzero(hashed), unhashed[:half])), unhashed[half:]):
             forward[seq] = np.roll(seq, -1)
+        gap = _ruling_set(forward)[2]
+        assert np.count_nonzero(gap == _STEP_CAP + 1) == 1
         assert_matches_walk(Permutation(40, 50, forward))
+
+    def test_mixed_cycle_lengths(self):
+        # Fixed points, 2-cycles, two long cycles through hashed pixels and
+        # an orbit of 100 unhashed pixels in one permutation: marker cycles
+        # of 1, 2, 7, 21 and 100 nodes, whose labels converge in different
+        # rounds.
+        n = 30 * 40
+        hashed = _is_hashed(np.arange(n, dtype=np.uint64))
+        rng = np.random.default_rng(5)
+        unhashed = rng.permutation(np.flatnonzero(~hashed))[:100]
+        rest = rng.permutation(np.setdiff1d(np.arange(n), unhashed))
+        forward = np.arange(n)  # rest[:100] stay fixed points
+        for seq in (unhashed, rest[300:900], rest[900:], *rest[100:300].reshape(-1, 2)):
+            forward[seq] = np.roll(seq, -1)
+        assert_matches_walk(Permutation(30, 40, forward))
 
 
 class TestApplyIterations:
