@@ -29,19 +29,27 @@ class OrbitHistogram:
     total_pixels: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityCurve:
-    points: tuple[tuple[int, Fraction], ...]
+    """Pixels home after k iterations, home[k - 1] for k in 1..home.size,
+    out of total_pixels."""
+
+    home: np.ndarray
+    total_pixels: int
+
+    @property
+    def points(self) -> tuple[tuple[int, Fraction], ...]:
+        """(k, similarity) for every k, as exact rationals.  Few distinct
+        counts recur across k; each is one Fraction shared by all its k, so
+        a held tuple costs about a pair per k."""
+        counts, which = np.unique(self.home, return_inverse=True)
+        values = [Fraction(count, self.total_pixels) for count in counts.tolist()]
+        return tuple(enumerate(map(values.__getitem__, which.tolist()), start=1))
 
 
 def orbit_histogram(cycles: CycleDecomposition) -> OrbitHistogram:
     counts = Counter(int(l) for l in cycles.lengths)
     return OrbitHistogram(dict(sorted(counts.items())), cycles.height * cycles.width)
-
-
-def _similarity_from_hist(hist: OrbitHistogram, k: int) -> Fraction:
-    home = sum(length * count for length, count in hist.bins.items() if k % length == 0)
-    return Fraction(home, hist.total_pixels)
 
 
 def similarity_at(cycles: CycleDecomposition, k: int) -> Fraction:
@@ -52,7 +60,9 @@ def similarity_at(cycles: CycleDecomposition, k: int) -> Fraction:
     """
     if k < 1:
         raise ParameterError(f"iteration count must be >= 1, got {k}")
-    return _similarity_from_hist(orbit_histogram(cycles), k)
+    hist = orbit_histogram(cycles)
+    home = sum(length * count for length, count in hist.bins.items() if k % length == 0)
+    return Fraction(home, hist.total_pixels)
 
 
 def similarity_curve(cycles: CycleDecomposition, k_max: int) -> SimilarityCurve:
@@ -64,15 +74,7 @@ def similarity_curve(cycles: CycleDecomposition, k_max: int) -> SimilarityCurve:
     home = np.zeros(k_max + 1, dtype=np.int64)
     for length, count in hist.bins.items():
         home[length::length] += length * count
-    # Few distinct home counts recur across k; build each Fraction once.
-    fractions: dict[int, Fraction] = {}
-    points = []
-    for k, value in enumerate(home.tolist()[1:], start=1):
-        frac = fractions.get(value)
-        if frac is None:
-            frac = fractions[value] = Fraction(value, hist.total_pixels)
-        points.append((k, frac))
-    return SimilarityCurve(tuple(points))
+    return SimilarityCurve(home[1:], hist.total_pixels)
 
 
 def recurrence_peaks(curve: SimilarityCurve, threshold: Fraction | float) -> list[int]:
@@ -84,12 +86,9 @@ def recurrence_peaks(curve: SimilarityCurve, threshold: Fraction | float) -> lis
     """
     if not 0 < threshold <= 1:
         raise ParameterError(f"threshold must be in (0, 1], got {threshold}")
-    period_k = next((k for k, s in curve.points if s == 1), None)
-    return [
-        k
-        for k, s in curve.points
-        if s >= threshold and (period_k is None or k < period_k)
-    ]
+    points = curve.points
+    period_k = next((k for k, s in points if s == 1), None)
+    return [k for k, s in points if s >= threshold and (period_k is None or k < period_k)]
 
 
 def write_histogram_csv(hist: OrbitHistogram, stream: IO[str]) -> None:
@@ -101,8 +100,12 @@ def write_histogram_csv(hist: OrbitHistogram, stream: IO[str]) -> None:
 
 
 def write_similarity_csv(curve: SimilarityCurve, stream: IO[str]) -> None:
-    """Rows of k,similarity with similarity as a 12-significant-digit decimal."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["k", "similarity"])
-    for k, s in curve.points:
-        writer.writerow([k, f"{float(s):.12g}"])
+    """Rows of k,similarity with similarity as a 12-significant-digit decimal.
+
+    Both counts are below 2**53, so numpy's float64 home / total_pixels is
+    the correctly rounded quotient that float(Fraction) gives.  Counts are
+    converted and written a chunk of k at a time; no field needs quoting."""
+    stream.write("k,similarity\n")
+    for lo in range(0, curve.home.size, 1 << 14):
+        values = (curve.home[lo : lo + (1 << 14)] / curve.total_pixels).tolist()
+        stream.write("".join(f"{k},{s:.12g}\n" for k, s in enumerate(values, start=lo + 1)))

@@ -1,6 +1,7 @@
 """Orbit histograms, similarity curves, recurrence peaks, CSV output."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,19 @@ class TestCurve:
     def test_rejects_non_positive_k_max(self):
         with pytest.raises(ParameterError):
             similarity_curve(cycle_decompose(identity_perm(2, 2)), 0)
+
+    def test_curve_holds_counts_not_points(self):
+        # 8 B of counts per k: at most twice that is traced while the curve
+        # is built, where 200,000 (k, Fraction) pairs take over 10 MB
+        cycles = cycle_decompose(build_oacm_permutation(single_square(3), 1, 1))
+        tracemalloc.start()
+        try:
+            curve = similarity_curve(cycles, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.points[-1] == (200_000, 1)
+        assert peak <= 2 * 8 * 200_000
 
     @given(small_configs(), st.integers(1, 300))
     def test_every_point_matches_similarity_at(self, config, k_max):

@@ -126,6 +126,32 @@ class TestCsvCommands:
         assert (code, to_file) == (0, (0, "", ""))
         assert out_path.read_bytes() == shown.encode()
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["similarity", "--height", "24", "--width", "32", "--square-size", "8",
+                 "--overlap", "7", "--p", "2", "--q", "3", "--kmax", "5000"],
+                "bbe9543a51efda844c54b9ec1fcf61db46150b9de1443ea04cb30b5c29439c8d",
+            ),
+            (
+                ["histogram", "--height", "24", "--width", "32", "--square-size", "8",
+                 "--overlap", "7", "--p", "2", "--q", "3"],
+                "7a3c4f9951ec5eae55b588a3fdfa679847c045bc46da8c27df66cc0a1f957573",
+            ),
+            (
+                ["similarity", "--height", "10", "--width", "12", "--square-size", "6",
+                 "--overlap", "2", "--kmax", "1000"],
+                "dbaa15979936b8cc11cd8435760d8d01924106bd982a0b0becfa33cd544965a7",
+            ),
+        ],
+        ids=["similarity-24x32", "histogram-24x32", "similarity-10x12"],
+    )
+    def test_pinned_digests(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_failed_command_writes_no_file(self, capsys, tmp_path):
         out_path = tmp_path / "sim.csv"
         code, _, err = run(

@@ -270,6 +270,39 @@ class TestMatchesWalkReference:
         assert np.count_nonzero(gap == _STEP_CAP + 1) == 1
         assert_matches_walk(Permutation(40, 50, forward))
 
+    def test_walker_stops_on_its_first_step(self):
+        # One cycle h1 -> h2 -> u... -> h1 through two hashed pixels: h2 is
+        # a hashed marker, so its walker's first step lands on the marker
+        # after it.  Every other pixel is fixed.
+        n = 40 * 50
+        hashed = _is_hashed(np.arange(n, dtype=np.uint64))
+        h1, h2 = np.flatnonzero(hashed)[:2]
+        seq = np.concatenate(([h1, h2], np.flatnonzero(~hashed)[:10]))
+        forward = np.arange(n)
+        forward[seq] = np.roll(seq, -1)
+        markers, succ, gap = _ruling_set(forward)[:3]
+        (node,) = np.flatnonzero(markers == h2)
+        assert gap[node] == 1
+        assert markers[succ[node]] == seq[2]
+        assert_matches_walk(Permutation(40, 50, forward))
+
+    def test_capped_walker_one_pixel_short_of_a_marker(self):
+        # One cycle h0 -> m -> 255 unhashed pixels -> hx -> h0 with h0 and hx
+        # hashed: the walker from the marker m reaches hx, which is not a
+        # marker, at the step cap, and the pixel after it is the marker h0.
+        n = 40 * 50
+        hashed = _is_hashed(np.arange(n, dtype=np.uint64))
+        h0, hx = np.flatnonzero(hashed)[:2]
+        path = np.flatnonzero(~hashed)[: _STEP_CAP]
+        seq = np.concatenate(([h0], path, [hx]))
+        forward = np.arange(n)
+        forward[seq] = np.roll(seq, -1)
+        markers, succ, gap = _ruling_set(forward)[:3]
+        (node,) = np.flatnonzero(markers == path[0])
+        assert gap[node] == _STEP_CAP + 1
+        assert markers[succ[node]] == h0
+        assert_matches_walk(Permutation(40, 50, forward))
+
     def test_mixed_cycle_lengths(self):
         # Fixed points, 2-cycles, two long cycles through hashed pixels and
         # an orbit of 100 unhashed pixels in one permutation: marker cycles
