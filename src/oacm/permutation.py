@@ -180,6 +180,14 @@ class CycleDecomposition:
 _MARKER_HASH = np.uint64(0x9E3779B97F4A7C15)
 # Steps a walker takes before it stops where it stands.
 _STEP_CAP = 256
+# The walk also stops once at most this many walkers are still out: each
+# step then costs about a dozen numpy calls' fixed overhead and moves
+# almost nothing, and _close finishes the paths left in log rounds.  On a
+# 2-core x86 host (numpy 2.4, medians of 21 interleaved calls), with 32,
+# 128 and 512 here: the 96x128 24/23 cover (p=2 q=3) decomposed in 1.64,
+# 1.21 and 1.15 ms, a 128x192 16/4 cover in 3.70, 3.05 and 3.72 ms, and a
+# 256x256 64/16 cover in 3.92, 3.81 and 4.02 ms.
+_FEW_WALKERS = 128
 _REACHED = np.iinfo(np.int32).min  # code of a pixel some walker reached
 
 
@@ -210,32 +218,36 @@ def _ruling_set(fwd: np.ndarray):
     trail = np.empty(n, dtype=np.int32)
     who = np.empty(n, dtype=np.int32)
     nxt = np.empty(heads.size, dtype=np.int32)
-    gap = np.full(heads.size, _STEP_CAP + 1, dtype=np.int32)
+    gap = np.empty(heads.size, dtype=np.int32)
     # Walkers step in lock-step; a walker that steps onto a marker stops
-    # there, and the others append their pixels to the trail.
-    pos, walkers, t, bounds = heads, np.arange(heads.size, dtype=np.int32), 0, [0]
-    for step in range(1, _STEP_CAP + 1):
-        if not pos.size:
-            break
-        pos = code.take(pos)
+    # there, and the others append their pixels to the trail.  A pixel has
+    # one predecessor, so its code is read once: it is marked reached then.
+    pos, walkers, step, t, bounds = heads, np.arange(heads.size, dtype=np.int32), 0, 0, [0]
+    while pos.size > _FEW_WALKERS and step < _STEP_CAP:
+        step += 1
+        here = pos
+        pos = code.take(here)
+        code[here] = _REACHED
         stop = np.flatnonzero(pos < 0)
-        done = walkers[stop]
-        nxt[done] = ~pos[stop]
-        gap[done] = step
-        go = pos >= 0
-        pos, walkers = pos[go], walkers[go]
+        if stop.size:
+            done = walkers[stop]
+            nxt[done] = ~pos[stop]
+            gap[done] = step
+            go = pos >= 0
+            pos, walkers = pos[go], walkers[go]
         trail[t : t + pos.size] = pos
         who[t : t + pos.size] = walkers
         t += pos.size
         bounds.append(t)
-    # A capped walker stops before its next pixel.  No walker can reach
+    # A walker still out stops before its next pixel.  No walker can reach
     # that pixel, so unless it is a marker it ends as one of its own.
     nxt[walkers] = code[pos]
     np.invert(nxt, out=nxt, where=nxt < 0)
+    gap[walkers] = step + 1
+    code[pos] = _REACHED
     # Every pixel no walker reached is a marker one step from its successor.
     # They are found a chunk at a time: at 1080x1920 one n-long mask left
     # the heap 7 MB larger at its peak, with the same live bytes.
-    code[heads] = code[trail[:t]] = _REACHED
     chunks = range(0, max(n, 1), 1 << 18)  # one empty chunk when n is 0
     rest = np.concatenate([np.flatnonzero(code[i : i + (1 << 18)] != _REACHED) + i for i in chunks])
     markers = np.concatenate((heads, rest), dtype=np.int32)
@@ -294,11 +306,13 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
        becomes a marker and starts a walker.  numpy steps all walkers along
        forward in lock-step, appending each step's pixels and walkers to a
        trail.  A walker that steps onto the next marker records it and the
-       step there and stops; the rest stop after _STEP_CAP steps.  Walkers
-       reach disjoint pixels: a pixel has one predecessor.
+       step there and stops.  The walk ends after _STEP_CAP steps, or once
+       at most _FEW_WALKERS walkers are out; a walker still out then stops
+       before its next pixel.  Walkers reach disjoint pixels: a pixel has
+       one predecessor, so each is marked reached when its code is read.
     2. Every pixel no walker reached becomes a marker one step from its
        successor.  This covers orbits without a hashed marker whatever the
-       hash, and the rest of a path cut off by the step cap.
+       hash, and the rest of a path cut off where the walk ended.
     3. Pointer jumping over the marker graph (next marker, steps to it)
        labels each node with the smallest node of its cycle and ranks it by
        its slots from there (_close).  No Python loop runs per node: about

@@ -125,17 +125,17 @@ class TestCurve:
     def test_every_point_matches_similarity_at(self, config, k_max):
         h, w, s, o, p, q = config
         cycles = cycle_decompose(oacm_perm(h, w, s, o, p, q))
-        curve = similarity_curve(cycles, k_max)
-        assert [k for k, _ in curve.points] == list(range(1, k_max + 1))
+        points = similarity_curve(cycles, k_max).points
+        assert [k for k, _ in points] == list(range(1, k_max + 1))
         for k in range(1, k_max + 1):
-            assert curve.points[k - 1][1] == similarity_at(cycles, k)
+            assert points[k - 1][1] == similarity_at(cycles, k)
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=12), st.integers(1, 400))
     def test_synthetic_lengths_match_similarity_at(self, lengths, k_max):
         cycles = synthetic_cycles(lengths)
-        curve = similarity_curve(cycles, k_max)
+        points = similarity_curve(cycles, k_max).points
         for k in range(1, k_max + 1):
-            assert curve.points[k - 1][1] == similarity_at(cycles, k)
+            assert points[k - 1][1] == similarity_at(cycles, k)
 
 
 class TestRecurrencePeaks:

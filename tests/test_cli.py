@@ -370,6 +370,17 @@ class TestExitCodes:
                            "--out", str(tmp_path / "o.pnm"))
         assert code == 3
 
+    @pytest.mark.parametrize("magic", [b"P5", b"P6"])
+    def test_huge_raster_header_exits_3(self, capsys, tmp_path, magic):
+        key = make_key(tmp_path)
+        src = tmp_path / "huge.pnm"
+        src.write_bytes(magic + b"\n70000 70000\n255\n" + bytes(64))
+        code, _, err = run(capsys, "scramble", "--key", key, "--in", str(src),
+                           "--out", str(tmp_path / "o.pnm"))
+        assert code == 3
+        assert "header promises" in err
+        assert not (tmp_path / "o.pnm").exists()
+
     def test_oversize_image_exits_2_before_allocating(self, capsys, monkeypatch):
         def allocating(params):
             raise AssertionError("the cover of an oversize image was built")

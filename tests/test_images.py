@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,21 @@ class TestHeaderFuzz:
         path.write_bytes(b"P5\n" + b"9" * 4000 + b" 1\n255\n" + bytes(16))
         with pytest.raises(TruncatedDataError):
             read_image(path)
+
+    @pytest.mark.parametrize("magic", [b"P5", b"P6"])
+    def test_huge_raster_refused_without_allocating_it(self, tmp_path, magic):
+        # 70000 x 70000 promises 4.9 GB (P5) or 14.7 GB (P6) of raster; the
+        # file carries 4 KiB of it, and reading stays within a few file sizes
+        path = tmp_path / "huge.pnm"
+        path.write_bytes(magic + b"\n70000 70000\n255\n" + bytes(4096))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedDataError):
+                read_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * path.stat().st_size
 
 
 class TestWriteImage:

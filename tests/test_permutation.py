@@ -30,7 +30,7 @@ from oacm import (
     matrix_period,
     square_locations,
 )
-from oacm.permutation import _STEP_CAP, _is_hashed, _ruling_set
+from oacm.permutation import _FEW_WALKERS, _STEP_CAP, _is_hashed, _ruling_set
 
 
 class TestPermutationType:
@@ -252,12 +252,14 @@ class TestMatchesWalkReference:
     def test_dense_cover(self):
         assert_matches_walk(oacm_perm(257, 300, 40, 39, p=2, q=3))
 
-    def test_cycles_through_unmarked_pixels(self):
+    def test_cycles_through_unmarked_pixels(self, monkeypatch):
         # Cycle x runs through the hashed pixels, then half the others: the
         # walker from the first of those stops at the step cap, and the rest
         # of that path becomes one-step markers.  Cycle y runs through the
         # other half, holds no hashed pixel and so no walker, and becomes a
-        # cycle of one-step markers.
+        # cycle of one-step markers.  The walk runs to the cap however few
+        # walkers are out.
+        monkeypatch.setattr("oacm.permutation._FEW_WALKERS", 0)
         n = 40 * 50
         hashed = _is_hashed(np.arange(n, dtype=np.uint64))
         unhashed = np.flatnonzero(~hashed)[::-1]
@@ -286,10 +288,12 @@ class TestMatchesWalkReference:
         assert markers[succ[node]] == seq[2]
         assert_matches_walk(Permutation(40, 50, forward))
 
-    def test_capped_walker_one_pixel_short_of_a_marker(self):
+    def test_capped_walker_one_pixel_short_of_a_marker(self, monkeypatch):
         # One cycle h0 -> m -> 255 unhashed pixels -> hx -> h0 with h0 and hx
         # hashed: the walker from the marker m reaches hx, which is not a
         # marker, at the step cap, and the pixel after it is the marker h0.
+        # The walk runs to the cap however few walkers are out.
+        monkeypatch.setattr("oacm.permutation._FEW_WALKERS", 0)
         n = 40 * 50
         hashed = _is_hashed(np.arange(n, dtype=np.uint64))
         h0, hx = np.flatnonzero(hashed)[:2]
@@ -302,6 +306,28 @@ class TestMatchesWalkReference:
         assert gap[node] == _STEP_CAP + 1
         assert markers[succ[node]] == h0
         assert_matches_walk(Permutation(40, 50, forward))
+
+    def test_walk_stops_with_few_walkers_out(self):
+        # The cover_analysis cover: the walk ends before the step cap with
+        # walkers still out, each stopped one step past the last one taken,
+        # before the pixel it would have read next.
+        perm = oacm_perm(96, 128, 24, 23, p=2, q=3)
+        _, _, gap, _, _, bounds = _ruling_set(perm.forward)
+        steps = len(bounds) - 1
+        assert 0 < steps < _STEP_CAP
+        assert (gap == steps + 1).any()
+        assert_matches_walk(perm)
+
+    def test_no_step_with_few_hashed_pixels(self):
+        # At most _FEW_WALKERS hashed pixels: no walker steps, and every
+        # orbit is closed from one-step markers alone.
+        n = 40 * 50
+        assert np.count_nonzero(_is_hashed(np.arange(n, dtype=np.uint64))) <= _FEW_WALKERS
+        perm = Permutation(40, 50, np.random.default_rng(3).permutation(n))
+        _, _, gap, _, _, bounds = _ruling_set(perm.forward)
+        assert bounds == [0]
+        assert np.all(gap == 1)
+        assert_matches_walk(perm)
 
     def test_mixed_cycle_lengths(self):
         # Fixed points, 2-cycles, two long cycles through hashed pixels and
