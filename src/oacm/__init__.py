@@ -23,7 +23,6 @@ from .analysis import (
     OrbitHistogram,
     SimilarityCurve,
     orbit_histogram,
-    recurrence_peaks,
     similarity_at,
     similarity_curve,
     write_histogram_csv,
@@ -105,7 +104,6 @@ __all__ = [
     "orbit_histogram",
     "period_bound_for_image",
     "read_image",
-    "recurrence_peaks",
     "scientific",
     "scramble",
     "shift_pixels",

@@ -1,4 +1,4 @@
-"""Orbit statistics: length histograms, similarity curves, recurrence peaks.
+"""Orbit statistics: length histograms and similarity curves.
 
 Similarity after k iterations is the fraction of pixels sitting at their
 original index, which depends only on the orbit-length histogram: a pixel
@@ -10,7 +10,6 @@ period and nowhere else.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
@@ -48,8 +47,9 @@ class SimilarityCurve:
 
 
 def orbit_histogram(cycles: CycleDecomposition) -> OrbitHistogram:
-    counts = Counter(int(l) for l in cycles.lengths)
-    return OrbitHistogram(dict(sorted(counts.items())), cycles.height * cycles.width)
+    lengths, counts = np.unique(cycles.lengths, return_counts=True)
+    bins = dict(zip(lengths.tolist(), counts.tolist()))
+    return OrbitHistogram(bins, cycles.height * cycles.width)
 
 
 def similarity_at(cycles: CycleDecomposition, k: int) -> Fraction:
@@ -75,20 +75,6 @@ def similarity_curve(cycles: CycleDecomposition, k_max: int) -> SimilarityCurve:
     for length, count in hist.bins.items():
         home[length::length] += length * count
     return SimilarityCurve(home[1:], hist.total_pixels)
-
-
-def recurrence_peaks(curve: SimilarityCurve, threshold: Fraction | float) -> list[int]:
-    """Iterations below the image period where similarity reaches the threshold.
-
-    Similarity is exactly 1 only at multiples of the period, so the first
-    such point in the curve marks the period; everything at or past it is
-    excluded.
-    """
-    if not 0 < threshold <= 1:
-        raise ParameterError(f"threshold must be in (0, 1], got {threshold}")
-    points = curve.points
-    period_k = next((k for k, s in points if s == 1), None)
-    return [k for k, s in points if s >= threshold and (period_k is None or k < period_k)]
 
 
 def write_histogram_csv(hist: OrbitHistogram, stream: IO[str]) -> None:

@@ -158,9 +158,11 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
 class CycleDecomposition:
     """Orbits of a permutation, stored flat for O(1)-per-pixel iteration.
 
-    order holds every pixel index grouped by cycle, each cycle starting at
-    its smallest index and cycles sorted by that index; starts[c] is the
-    offset of cycle c in order and lengths[c] its length.
+    order holds every pixel index grouped by cycle: cycle c is the run
+    order[starts[c]:starts[c + 1]] of lengths[c] pixels, along which forward
+    takes each pixel to the next and the last back to the first.  Where a
+    cycle starts and the order of the cycles are not specified; the same
+    permutation always gives the same layout.
     """
 
     height: int
@@ -318,8 +320,8 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
        its slots from there (_close).  No Python loop runs per node: about
        log2 of the longest marker cycle numpy rounds do.
     4. A trail pixel's slot is its marker's slot plus its rank, and one
-       scatter puts every pixel in its slot; numpy then turns every cycle
-       to start at its smallest index and sorts the cycles by it.
+       scatter puts every pixel in its slot.  Each cycle is then one run of
+       slots along forward, in the order and from the node _close gives it.
     """
     n = perm.forward.size
     markers, succ, gap, trail, who, bounds = _ruling_set(perm.forward)
@@ -335,29 +337,15 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
     walked[first] = markers
     # freed now: medium arrays left between large ones fragment the heap
     del trail, who, markers, first
-
-    # Canonical form: cycles sorted by their smallest pixel (head), each
-    # turned to start there.  Heads arrive in a few ascending runs, which
-    # the stable sort (timsort) merges in about linear time.
-    head = np.minimum.reduceat(walked, cyc_start[:-1])
-    by_head = np.argsort(head, kind="stable")
-    source = cyc_start[:-1][by_head]
-    head_slot = np.flatnonzero(walked == np.repeat(head, np.diff(cyc_start)))
-    turn = head_slot[by_head] - source
-    starts = np.zeros(by_head.size + 1, dtype=np.int64)
-    np.cumsum(np.diff(cyc_start)[by_head], out=starts[1:])
-    order = walked[_rotation_index(starts, source, turn)]
-    del walked
-    return CycleDecomposition(perm.height, perm.width, order.astype(np.int64), starts)
+    return CycleDecomposition(perm.height, perm.width, walked.astype(np.int64), cyc_start)
 
 
-def _rotation_index(starts: np.ndarray, source: np.ndarray, turn: np.ndarray) -> np.ndarray:
+def _rotation_index(starts: np.ndarray, turn: np.ndarray) -> np.ndarray:
     """int32 gather index that fills slot starts[c] + i of cycle c, of length
-    L = starts[c+1] - starts[c], from slot source[c] + (i + turn[c]) mod L,
+    L = starts[c+1] - starts[c], from slot starts[c] + (i + turn[c]) mod L,
     where 0 <= turn[c] < L.  Every cycle is two runs of consecutive slots."""
     length = np.diff(starts)
-    offset = source - starts[:-1] + turn
-    shift = np.stack((offset, offset - length), axis=1).ravel().astype(np.int32)
+    shift = np.stack((turn, turn - length), axis=1).ravel().astype(np.int32)
     index = np.repeat(shift, np.stack((length - turn, turn), axis=1).ravel())
     index += np.arange(starts[-1], dtype=np.int32)
     return index
@@ -394,7 +382,7 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
         raise ParameterError(f"buffer must have shape ({n},) or ({n}, C), got {src.shape}")
     distinct, inv = np.unique(cycles.lengths, return_inverse=True)
     turn = np.array([-z % int(d) for d in distinct], dtype=np.int64)[inv]
-    source = cycles.order[_rotation_index(cycles.starts, cycles.starts[:-1], turn)]
+    source = cycles.order[_rotation_index(cycles.starts, turn)]
     out = np.empty_like(src)
     plane, moved = np.empty((2, n), dtype=src.dtype)
     for channel in np.ndindex(src.shape[1:]):
@@ -408,4 +396,8 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
 
 def image_period(cycles: CycleDecomposition) -> int:
     """Exact image period: least common multiple of the orbit lengths."""
-    return math.lcm(*{int(l) for l in cycles.lengths}) if cycles.lengths.size else 1
+    # return_counts takes numpy's sorting path: on numpy 2.4 the hashing one
+    # that plain unique takes was 7x slower on a million lengths, and its
+    # first call left a process 1.6 MB larger
+    distinct, _ = np.unique(cycles.lengths, return_counts=True)
+    return math.lcm(*distinct.tolist())

@@ -16,7 +16,6 @@ from oacm import (
     cycle_decompose,
     image_period,
     orbit_histogram,
-    recurrence_peaks,
     similarity_at,
     similarity_curve,
     write_histogram_csv,
@@ -136,36 +135,6 @@ class TestCurve:
         points = similarity_curve(cycles, k_max).points
         for k in range(1, k_max + 1):
             assert points[k - 1][1] == similarity_at(cycles, k)
-
-
-class TestRecurrencePeaks:
-    def test_threshold_one_below_period_is_empty(self):
-        cycles = cycle_decompose(oacm_perm(6, 6, 4, 1))
-        period = image_period(cycles)
-        curve = similarity_curve(cycles, min(period - 1, 200))
-        assert recurrence_peaks(curve, 1) == []
-
-    def test_period_itself_is_excluded(self):
-        cycles = cycle_decompose(build_oacm_permutation(single_square(3), 1, 1))
-        assert recurrence_peaks(similarity_curve(cycles, 4), Fraction(1, 2)) == []
-
-    def test_dominant_short_cycles_peak(self):
-        # Ten of thirteen pixels sit on 2-cycles: every even k below the
-        # period (6) crosses a 0.75 threshold.
-        cycles = synthetic_cycles([2, 2, 2, 2, 2, 3])
-        curve = similarity_curve(cycles, 6)
-        assert recurrence_peaks(curve, Fraction(3, 4)) == [2, 4]
-
-    def test_curve_without_the_period_keeps_all_crossings(self):
-        cycles = synthetic_cycles([2, 2, 2, 2, 2, 3])
-        curve = similarity_curve(cycles, 5)
-        assert recurrence_peaks(curve, Fraction(3, 4)) == [2, 4]
-
-    def test_threshold_domain(self):
-        curve = similarity_curve(cycle_decompose(identity_perm(2, 2)), 3)
-        for bad in (0, -1, Fraction(11, 10)):
-            with pytest.raises(ParameterError):
-                recurrence_peaks(curve, bad)
 
 
 class TestCsv:

@@ -163,11 +163,10 @@ class TestInvertCompose:
 
 class TestCycleDecompose:
     def test_identity_cycles(self):
-        cycles = cycle_decompose(identity_perm(2, 2))
-        assert [c.tolist() for c in cycle_list(cycles)] == [[0], [1], [2], [3]]
-        cycles = cycle_decompose(identity_perm(5, 7))
-        assert np.array_equal(cycles.order, np.arange(35))
-        assert np.array_equal(cycles.starts, np.arange(36))
+        for perm in (identity_perm(2, 2), identity_perm(5, 7)):
+            cycles = cycle_decompose(perm)
+            assert_runs_follow_forward(cycles, perm)
+            assert np.array_equal(cycles.starts, np.arange(perm.forward.size + 1))
 
     def test_two_by_two_lengths(self):
         cycles = cycle_decompose(build_oacm_permutation(single_square(2), 1, 1))
@@ -191,13 +190,6 @@ class TestCycleDecompose:
             for i, j in zip(cyc, np.roll(cyc, -1)):
                 assert perm.forward[i] == j
 
-    def test_cycles_start_at_smallest_index_in_order(self):
-        perm = oacm_perm(8, 5, 3, 1)
-        cycles = cycle_list(cycle_decompose(perm))
-        heads = [int(c[0]) for c in cycles]
-        assert all(int(c[0]) == min(c.tolist()) for c in cycles)
-        assert heads == sorted(heads)
-
     def test_leaves_forward_unchanged(self):
         perm = oacm_perm(9, 13, 6, 2, p=3, q=2)
         before = perm.forward.copy()
@@ -209,15 +201,35 @@ class TestCycleDecompose:
         perm = Permutation(1, n, np.roll(np.arange(n), -5))
         cycles = cycle_decompose(perm)
         assert cycles.starts.tolist() == [0, n]
-        assert cycles.order[0] == 0
-        assert np.array_equal(cycles.order[1:], perm.forward[cycles.order[:-1]])
+        assert_runs_follow_forward(cycles, perm)
+
+
+def assert_runs_follow_forward(cycles, perm):
+    """order is a permutation of the pixels, cut by starts into contiguous
+    runs, and forward takes the pixel in each slot to the next slot of its
+    run, the last slot back to the first."""
+    n = perm.forward.size
+    assert np.array_equal(np.sort(cycles.order), np.arange(n))
+    assert cycles.starts[0] == 0 and cycles.starts[-1] == n
+    assert np.all(cycles.lengths > 0)
+    after = np.arange(1, n + 1)
+    after[cycles.starts[1:] - 1] = cycles.starts[:-1]
+    assert np.array_equal(perm.forward[cycles.order], cycles.order[after])
+
+
+def orbit_lengths(cycles):
+    """Each pixel's orbit length."""
+    out = np.empty(cycles.order.size, dtype=np.int64)
+    out[cycles.order] = np.repeat(cycles.lengths, cycles.lengths)
+    return out
 
 
 def assert_matches_walk(perm):
+    """The reference's orbits: the same cycles, each possibly rotated and in
+    another order, which cycle_decompose does not fix."""
     got = cycle_decompose(perm)
-    ref = walk_decompose_reference(perm)
-    assert np.array_equal(got.order, ref.order)
-    assert np.array_equal(got.starts, ref.starts)
+    assert_runs_follow_forward(got, perm)
+    assert np.array_equal(orbit_lengths(got), orbit_lengths(walk_decompose_reference(perm)))
 
 
 class TestMatchesWalkReference:
