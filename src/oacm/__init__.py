@@ -11,10 +11,6 @@ period bound are computed from the same decomposition.
 from .acm import (
     AcmParams,
     Mat2,
-    Point,
-    acm_inverse_map,
-    acm_map,
-    inverse_map_matrix,
     map_matrix,
     mat_power_mod,
     matrix_period,
@@ -22,6 +18,7 @@ from .acm import (
 from .analysis import (
     OrbitHistogram,
     SimilarityCurve,
+    image_period,
     orbit_histogram,
     similarity_at,
     similarity_curve,
@@ -61,7 +58,6 @@ from .permutation import (
     build_oacm_permutation,
     cycle_decompose,
     cycles_for,
-    image_period,
 )
 from .tiling import Tiling, TilingParams, square_locations
 
@@ -79,7 +75,6 @@ __all__ = [
     "ParameterError",
     "PeriodSearchError",
     "Permutation",
-    "Point",
     "RasterImage",
     "SampleRangeError",
     "SimilarityCurve",
@@ -87,15 +82,12 @@ __all__ = [
     "TilingParams",
     "TruncatedDataError",
     "UnsupportedFormatError",
-    "acm_inverse_map",
-    "acm_map",
     "apply_iterations",
     "build_oacm_permutation",
     "cycle_decompose",
     "cycles_for",
     "descramble",
     "image_period",
-    "inverse_map_matrix",
     "landau_g",
     "mantissa_exponent",
     "map_matrix",

@@ -10,20 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ParameterError, PeriodSearchError
 
 # matrix_period factors by trial division, whose cost grows as sqrt(n); a
 # prime side just below this bound takes about 0.12 s.
 MAX_PERIOD_SIDE = 10**12
-
-
-class Point(NamedTuple):
-    """Lattice point: x is the column index, y is the row index."""
-
-    x: int
-    y: int
 
 
 def check_map_params(p: int, q: int) -> None:
@@ -85,33 +77,6 @@ def map_matrix(params: AcmParams) -> Mat2:
     """The forward map as a matrix: [[1, p], [q, 1 + p*q]] mod n."""
     p, q, n = params.p, params.q, params.n
     return Mat2(1, p, q, 1 + p * q, n)
-
-
-def inverse_map_matrix(params: AcmParams) -> Mat2:
-    """Inverse of map_matrix: [[1 + p*q, -p], [-q, 1]] mod n (determinant is 1)."""
-    p, q, n = params.p, params.q, params.n
-    return Mat2(1 + p * q, -p, -q, 1, n)
-
-
-def _check_point(params: AcmParams, pt: Point) -> None:
-    if not (0 <= pt.x < params.n and 0 <= pt.y < params.n):
-        raise ParameterError(f"point {tuple(pt)} outside [0, {params.n})^2")
-
-
-def _apply(m: Mat2, pt: Point) -> Point:
-    return Point((m.a * pt.x + m.b * pt.y) % m.n, (m.c * pt.x + m.d * pt.y) % m.n)
-
-
-def acm_map(params: AcmParams, pt: Point) -> Point:
-    """Move one lattice point forward by one map application."""
-    _check_point(params, pt)
-    return _apply(map_matrix(params), pt)
-
-
-def acm_inverse_map(params: AcmParams, pt: Point) -> Point:
-    """Move one lattice point back: exact inverse of acm_map."""
-    _check_point(params, pt)
-    return _apply(inverse_map_matrix(params), pt)
 
 
 def mat_power_mod(m: Mat2, z: int) -> Mat2:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .acm import AcmParams, matrix_period
 from .analysis import (
+    image_period,
     orbit_histogram,
     similarity_curve,
     write_histogram_csv,
@@ -22,7 +23,7 @@ from .bigfmt import scientific
 from .errors import ImageFormatError, ParameterError
 from .images import KeyConfig, descramble, read_image, scramble, write_image
 from .landau import landau_g
-from .permutation import cycles_for, image_period
+from .permutation import cycles_for
 from .tiling import TilingParams, square_locations
 
 

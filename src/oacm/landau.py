@@ -112,7 +112,7 @@ def landau_g(n: int) -> LandauResult:
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if n > DEFAULT_CEILING:
-        raise ParameterError(f"n = {n} exceeds the configured ceiling {DEFAULT_CEILING}")
+        raise ParameterError(f"n = {n} exceeds the limit {DEFAULT_CEILING} (1920 x 1080 pixels)")
     bound = max(64, round(1.5 * math.sqrt(n * math.log(n))))
     series = tuple(sorted(_solve(_sieve(min(n, bound)), n)))
     return LandauResult(n, math.prod(series), series)

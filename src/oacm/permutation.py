@@ -9,7 +9,6 @@ at O(1) cost per pixel regardless of z.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -393,11 +392,3 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
         out[column] = moved
     return out
 
-
-def image_period(cycles: CycleDecomposition) -> int:
-    """Exact image period: least common multiple of the orbit lengths."""
-    # return_counts takes numpy's sorting path: on numpy 2.4 the hashing one
-    # that plain unique takes was 7x slower on a million lengths, and its
-    # first call left a process 1.6 MB larger
-    distinct, _ = np.unique(cycles.lengths, return_counts=True)
-    return math.lcm(*distinct.tolist())
