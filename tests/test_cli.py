@@ -169,6 +169,14 @@ class TestLandau:
         assert code == 0
         assert out == "n 10\ng 30\nscientific 3.0e+1\nseries 2 3 5\n"
 
+    def test_output_at_ceiling(self, capsys):
+        code, out, _ = run(capsys, "landau", "--n", "2073600")
+        assert code == 0
+        assert out.startswith("n 2073600\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f66a18b54198b5952071f5f626d3e662334963812e64fe25779dd222080b4944"
+        )
+
     def test_ceiling_maps_to_exit_2(self, capsys):
         code, _, err = run(capsys, "landau", "--n", str(2**21))
         assert code == 2

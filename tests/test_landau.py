@@ -1,9 +1,12 @@
 """Maximal permutation order g(n) and its witness partitions."""
 
+import hashlib
 import math
+import random
 
 import pytest
 
+import oacm.landau
 from helpers import landau_g_bruteforce, landau_table_reference
 from oacm import (
     DEFAULT_CEILING,
@@ -11,6 +14,7 @@ from oacm import (
     landau_g,
     period_bound_for_image,
 )
+from oacm.landau import _primes, _solve, _superchampion
 
 
 def is_prime_power(m):
@@ -74,6 +78,54 @@ class TestLandauG:
     def test_ceiling_enforced(self):
         with pytest.raises(ParameterError):
             landau_g(DEFAULT_CEILING + 1)
+
+    def test_pinned_at_ceiling(self):
+        result = landau_g(2073600)
+        digits = str(result.g)
+        assert len(digits) == 2511
+        assert hashlib.sha256(digits.encode()).hexdigest() == (
+            "8f333ffb7341806e19e7c24a5d35769a330df9970e07c7e3493b78c0d41ebeb0"
+        )
+        assert len(result.series) == 763
+        assert sum(result.series) == 2073600
+        assert result.series[-3:] == (5807, 5821, 5827)
+
+
+def superchampion_sum(n):
+    """l(N_rho) for the superchampion landau_g starts from at n."""
+    return sum(_superchampion(_primes(n), n)[1])
+
+
+class TestLagrangianReduction:
+    # n = l(N_rho) leaves no budget beyond the superchampion, n = l(N_rho) - 1
+    # the most (it falls back to the superchampion before), n = l(N_rho) + 1 one.
+    EDGES = [m + d for m in map(superchampion_sum, (20000, 120000, 290000)) for d in (-1, 0, 1)]
+
+    def test_matches_unreduced_knapsack(self):
+        sample = random.Random(20261020).sample(range(3001, 300001), 5)
+        for n in sample + self.EDGES:
+            assert landau_g(n).series == tuple(sorted(_solve(_primes(n), n))), n
+
+    def test_unchanged_when_no_prime_is_fixed(self, monkeypatch):
+        sizes = list(range(1, 201)) + [48000] + self.EDGES[:3]
+        expected = [landau_g(n).series for n in sizes]
+        monkeypatch.setattr("oacm.landau._SLACK", math.inf)
+        assert [landau_g(n).series for n in sizes] == expected
+
+    @pytest.mark.parametrize("n", [48000, 262144, 2073600])
+    def test_most_primes_are_fixed(self, monkeypatch, n):
+        # the largest call is a top-level one: every other is a half of one
+        largest = 0
+        solve = oacm.landau._solve
+
+        def spy(primes, m):
+            nonlocal largest
+            largest = max(largest, len(primes))
+            return solve(primes, m)
+
+        monkeypatch.setattr("oacm.landau._solve", spy)
+        landau_g(n)
+        assert 0 < largest <= len(_primes(n)) // 2, (largest, len(_primes(n)))
 
 
 class TestBruteforce:
