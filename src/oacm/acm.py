@@ -79,19 +79,32 @@ def map_matrix(params: AcmParams) -> Mat2:
     return Mat2(1, p, q, 1 + p * q, n)
 
 
+Entries = tuple[int, int, int, int]  # a Mat2's (a, b, c, d)
+
+
+def _mul(x: Entries, y: Entries, n: int) -> Entries:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n
+
+
+def _power(m: Entries, z: int, n: int) -> Entries:
+    """The entries of m**z mod n for z >= 0, by square and multiply on plain ints."""
+    result = (1 % n, 0, 0, 1 % n)
+    while z:
+        if z & 1:
+            result = _mul(result, m, n)
+        z >>= 1
+        if z:
+            m = _mul(m, m, n)
+    return result
+
+
 def mat_power_mod(m: Mat2, z: int) -> Mat2:
     """m**z with every intermediate product reduced mod n (square and multiply)."""
     if z < 0:
         raise ParameterError(f"exponent must be >= 0, got {z}")
-    result = Mat2.identity(m.n)
-    base = m
-    while z:
-        if z & 1:
-            result = result @ base
-        z >>= 1
-        if z:
-            base = base @ base
-    return result
+    return Mat2(*_power((m.a, m.b, m.c, m.d), z, m.n), m.n)
 
 
 def _factor(m: int) -> dict[int, int]:
@@ -114,23 +127,34 @@ def matrix_period(params: AcmParams) -> int:
     The order of any determinant-1 matrix mod p**e divides p**e * (p*p - 1),
     so M = lcm over p**e || n of p**e * (p*p - 1) is a multiple of the
     period (Dyson and Falk, "Period of a discrete cat mapping", Amer. Math.
-    Monthly 1992, who also show P <= 3n).  Each prime r of M is divided out
-    while A**(M/r) is still the identity, which leaves the smallest period.
-    Every factorization is by trial division up to sqrt(n + 1), so a side
-    above MAX_PERIOD_SIDE is refused before any factoring.
+    Monthly 1992, who also show P <= 3n).  For each prime r with r**e || M,
+    B = A**(M / r**e) has order r**j for some j <= e, found by raising B to
+    the r-th power until it is the identity; the period is the product of
+    these r**j.  Each prime costs one power to the full exponent, so the
+    work depends on the number of primes of M and not on how many of their
+    factors the period drops.  Every factorization is by trial division up
+    to sqrt(n + 1), so a side above MAX_PERIOD_SIDE is refused before any
+    factoring.
     """
-    if params.n > MAX_PERIOD_SIDE:
-        raise ParameterError(f"lattice side {params.n} exceeds the limit {MAX_PERIOD_SIDE}")
-    a = map_matrix(params)
-    ident = Mat2.identity(params.n)
-    period = 1
+    n = params.n
+    if n > MAX_PERIOD_SIDE:
+        raise ParameterError(f"lattice side {n} exceeds the limit {MAX_PERIOD_SIDE}")
+    m = map_matrix(params)
+    a, ident = (m.a, m.b, m.c, m.d), (1 % n, 0, 0, 1 % n)
+    multiple = 1
     primes: set[int] = set()
-    for p, e in _factor(params.n).items():
-        period = math.lcm(period, p**e * (p * p - 1))
+    for p, e in _factor(n).items():
+        multiple = math.lcm(multiple, p**e * (p * p - 1))
         primes.update((p,), _factor(p - 1), _factor(p + 1))
-    if mat_power_mod(a, period) != ident:
-        raise PeriodSearchError(f"A**{period} is not the identity mod n = {params.n}")
+    if _power(a, multiple, n) != ident:
+        raise PeriodSearchError(f"A**{multiple} is not the identity mod n = {n}")
+    period = 1
     for r in primes:
-        while period % r == 0 and mat_power_mod(a, period // r) == ident:
-            period //= r
+        rest = multiple
+        while rest % r == 0:
+            rest //= r
+        b = _power(a, rest, n)
+        while b != ident:
+            b = _power(b, r, n)
+            period *= r
     return period

@@ -21,11 +21,15 @@ sum to l(N_rho) <= n.  Parts p^(k_p) summing to at most n then have
 where no term of the last sum is negative.  So if a feasible series gives
 log g(n) >= L, no prime loses more than B = rho (n - l(N_rho)) - (L - log N_rho)
 in the optimum, and a prime whose every other exponent loses more than B
-keeps k*_p.  A first solve, over the primes that lose at most B/8 under
-L = log N_rho, gives a sharper L; the knapsack runs again only if the sharper
-B frees a prime the first solve held fixed.  At 2,073,600 the two solves take
-110 and 122 of 1,034 primes, at 48,000 8 and 25 of 180.  Of first gaps from
-B/2 to B/16, B/8 took the least time over n from 100,000 to 2,073,600.
+keeps k*_p.  The primes within B of losing nothing lie in a window of width
+about B / rho around 1/rho ~ sqrt(n ln n), which holds about
+B sqrt(n ln n) / ln^2 n primes.  The solve leaves free the
+8 sqrt(n ln n) / ln^2 n primes that lose least (50 of 180 at 48,000, 208 of
+1,034 at 2,073,600), and its series gives the L that sets B.  Over 325 n
+from 1,000 to 2,073,600 the primes within that B numbered at most
+7.9 sqrt(n ln n) / ln^2 n at 99 % of n, so the knapsack almost always runs
+once, on the same number of primes for every n of a size; where B frees a
+prime held fixed, it runs again with that prime free.
 
 The knapsack runs in float64 log space and keeps no back-pointers.  To
 rebuild the parts exactly, the primes are split in halves, one float pass
@@ -155,6 +159,12 @@ def _superchampion(primes: list[int], n: int) -> tuple[float, list[int]]:
     return 0.0, parts
 
 
+def _free_count(n: int) -> int:
+    """How many primes the first solve leaves free: 8 sqrt(n ln n) / ln^2 n."""
+    log_n = math.log(max(n, 2))
+    return math.ceil(8 * math.sqrt(n * log_n) / log_n**2)
+
+
 def _fix_and_solve(primes: list[int], n: int) -> list[int]:
     """_solve(primes, n), run only on the primes the Lagrangian bound leaves free."""
     rho, parts = _superchampion(primes, n)
@@ -165,16 +175,19 @@ def _fix_and_solve(primes: list[int], n: int) -> list[int]:
         up = rho * (upper - part) - math.log(p) if upper <= n else math.inf
         losses.append(min(down, up))
     spare = rho * (n - sum(parts))
-    gap = spare / 8
+    by_loss = sorted(range(len(primes)), key=losses.__getitem__)
+    free = set(by_loss[: _free_count(n)])
     while True:
-        free = [i for i, loss in enumerate(losses) if loss <= gap + _SLACK]
-        fixed = [parts[i] for i, loss in enumerate(losses) if loss > gap + _SLACK and parts[i]]
-        solved = _solve([primes[i] for i in free], n - sum(fixed))
+        held = [i for i in range(len(primes)) if i not in free]
+        fixed = [parts[i] for i in held if parts[i]]
+        free_sorted = sorted(free)
+        solved = _solve([primes[i] for i in free_sorted], n - sum(fixed))
         # B for L = log of this series: the fixed parts cancel out of L - log N_rho
-        bound = spare + math.log(math.prod(parts[i] or 1 for i in free)) - math.log(math.prod(solved))
-        if sum(loss <= bound + _SLACK for loss in losses) <= len(free):
+        bound = spare + math.log(math.prod(parts[i] or 1 for i in free_sorted)) - math.log(math.prod(solved))
+        wider = [i for i in held if losses[i] <= bound + _SLACK]
+        if not wider:
             return fixed + solved  # every prime held fixed loses more than B
-        gap = bound
+        free.update(wider)
 
 
 def _primes(n: int) -> list[int]:

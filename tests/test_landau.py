@@ -112,6 +112,28 @@ class TestLagrangianReduction:
         monkeypatch.setattr("oacm.landau._SLACK", math.inf)
         assert [landau_g(n).series for n in sizes] == expected
 
+    def test_unchanged_when_the_first_solve_frees_too_few(self, monkeypatch):
+        # with no prime free at first, every free prime comes from widening by B
+        sizes = list(range(1, 201)) + random.Random(7).sample(range(201, 100001), 5) + self.EDGES
+        expected = [landau_g(n).series for n in sizes]
+        monkeypatch.setattr("oacm.landau._free_count", lambda n: 0)
+        assert [landau_g(n).series for n in sizes] == expected
+
+    @pytest.mark.parametrize("n", [47915, 48000, 48057, 262144, 2073600])
+    def test_one_solve_at_image_sizes(self, monkeypatch, n):
+        # the first solve takes exactly _free_count(n) primes, its halves fewer,
+        # and a second solve more
+        sizes = []
+        solve = oacm.landau._solve
+
+        def spy(primes, m):
+            sizes.append(len(primes))
+            return solve(primes, m)
+
+        monkeypatch.setattr("oacm.landau._solve", spy)
+        landau_g(n)
+        assert max(sizes) == oacm.landau._free_count(n)
+
     @pytest.mark.parametrize("n", [48000, 262144, 2073600])
     def test_most_primes_are_fixed(self, monkeypatch, n):
         # the largest call is a top-level one: every other is a half of one
