@@ -63,14 +63,8 @@ class Mat2:
     def __matmul__(self, other: "Mat2") -> "Mat2":
         if self.n != other.n:
             raise ParameterError(f"modulus mismatch: {self.n} != {other.n}")
-        n = self.n
-        return Mat2(
-            (self.a * other.a + self.b * other.c) % n,
-            (self.a * other.b + self.b * other.d) % n,
-            (self.c * other.a + self.d * other.c) % n,
-            (self.c * other.b + self.d * other.d) % n,
-            n,
-        )
+        x, y = (self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)
+        return Mat2(*_mul(x, y, self.n), self.n)
 
 
 def map_matrix(params: AcmParams) -> Mat2:

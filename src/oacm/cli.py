@@ -94,7 +94,7 @@ def cmd_acm_period(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    key = KeyConfig.from_json(Path(args.key).read_text())
+    key = KeyConfig.from_json(Path(args.key).read_bytes())
     write_image(args.shift(read_image(args.input), key), args.out)
     return 0
 

@@ -90,9 +90,10 @@ class KeyConfig:
             raise ParameterError(f"iterations must be >= 0, got {self.iterations}")
 
     @classmethod
-    def from_json(cls, text: str) -> "KeyConfig":
-        # ValueError covers JSONDecodeError and a number past int's digit
-        # limit; RecursionError, arrays or objects nested too deep
+    def from_json(cls, text: str | bytes) -> "KeyConfig":
+        # ValueError covers JSONDecodeError, bytes that do not decode (a
+        # UnicodeDecodeError) and a number past int's digit limit;
+        # RecursionError, arrays or objects nested too deep
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as exc:

@@ -9,7 +9,6 @@ at O(1) cost per pixel regardless of z.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,24 +72,6 @@ _CALL_PX = 1000
 _BAND_PX = 200_000
 
 
-def _rows(tiling: Tiling) -> list[tuple[int, tuple[int, ...]]]:
-    """The squares as (y, x corners ascending), one entry per row, rows by
-    ascending y.  Refuses a corner that puts a square outside the image."""
-    params = tiling.params
-    x_max, y_max = params.width - params.square_size, params.height - params.square_size
-    grouped = defaultdict(list)
-    for x0, y0 in tiling.squares:
-        grouped[y0].append(x0)
-    rows = sorted((y0, tuple(sorted(xs))) for y0, xs in grouped.items())
-    for y0, xs in rows:
-        for x0 in (xs[0], xs[-1]):
-            if not (0 <= x0 <= x_max and 0 <= y0 <= y_max):
-                raise ParameterError(
-                    f"square corner ({x0}, {y0}) is outside [0, {x_max}] x [0, {y_max}]"
-                )
-    return rows
-
-
 def _walk_row(target: np.ndarray, xs: tuple[int, ...], s: int, src: np.ndarray) -> None:
     """Walk one row's squares backwards, left to right, over target, a band
     s rows high: each block gathers its slots' forward images through src."""
@@ -110,14 +91,15 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     fix it.  Descrambling walks the orbits of this same pass backwards.
 
     Each square costs one s*s gather, so a pass costs O(sum of s^2)
-    whatever the image size.  A row whose x corners recur further up is
-    instead applied as one gather over its band, built once per distinct
-    row, when _CALL_PX and _BAND_PX rate that cheaper.
+    whatever the image size.  Every row has the same x corners, so when
+    there are several rows and _CALL_PX and _BAND_PX rate it cheaper, one
+    row is walked once over an identity band and every band then takes one
+    gather through that composite.
     """
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
+    xs = tiling.xs
     m = map_matrix(AcmParams(p, q, s))
-    rows = _rows(tiling)
 
     # Walking the squares backwards, grid[y, x] is where the squares walked
     # so far send the pixel at (y, x): a block reads each slot's forward
@@ -129,23 +111,20 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
 
     # Every row's squares gather within its band, so a row acts on the band
     # as one gather: the row walked over an identity strip.
-    uses = Counter(xs for _, xs in rows)
+    composite = None
     band_moves = s * w * (1 if s * w <= _BAND_PX else 2)
-    composites = {}
+    if len(tiling.ys) > 1 and len(xs) * (_CALL_PX + s * s) > band_moves:
+        composite = np.arange(s * w).reshape(s, w)
+        _walk_row(composite, xs, s, src)
     # int32 scratch: TilingParams refuses pixel counts it cannot index
     grid = np.arange(h * w, dtype=np.int32).reshape(h, w)
-    for y0, xs in reversed(rows):
+    for y0 in reversed(tiling.ys):
         band = grid[y0 : y0 + s]
-        uses[xs] -= 1
-        composite = composites.get(xs)
-        if composite is None and uses[xs] and len(xs) * (_CALL_PX + s * s) > band_moves:
-            composite = composites[xs] = np.arange(s * w).reshape(s, w)
-            _walk_row(composite, xs, s, src)
         if composite is None:
             _walk_row(band, xs, s, src)
         else:
             band[...] = band.take(composite)
-    del src, composites  # freed before the grid is copied to int64
+    del src, composite  # freed before the grid is copied to int64
     # A bijection by construction, so Permutation's checks are skipped: they
     # cost as much as the rest of a build of large squares.
     perm = object.__new__(Permutation)

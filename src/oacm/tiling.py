@@ -62,13 +62,32 @@ class TilingParams:
 
 @dataclass(frozen=True)
 class Tiling:
-    """Ordered list of (x, y) top-left square corners covering the image.
+    """A grid of top-left square corners: every x in xs paired with every
+    y in ys.
 
-    squares is row-major: sorted by y, then x.
+    Each axis is strictly ascending and keeps its squares inside the image.
     """
 
     params: TilingParams
-    squares: tuple[tuple[int, int], ...]
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+
+    def __post_init__(self):
+        params = self.params
+        for axis, corners, length in (("x", self.xs, params.width), ("y", self.ys, params.height)):
+            last = length - params.square_size
+            for a, b in zip(corners, corners[1:]):
+                if a >= b:
+                    raise ParameterError(f"{axis} corners must be strictly ascending: {a} before {b}")
+            if corners and not 0 <= corners[0] <= corners[-1] <= last:
+                raise ParameterError(
+                    f"{axis} corners {corners[0]}..{corners[-1]} are outside [0, {last}]"
+                )
+
+    @property
+    def squares(self) -> tuple[tuple[int, int], ...]:
+        """The (x, y) corners, row-major: sorted by y, then x."""
+        return tuple((x, y) for y in self.ys for x in self.xs)
 
     def to_json(self) -> str:
         squares = [list(sq) for sq in self.squares]
@@ -85,5 +104,4 @@ def square_locations(params: TilingParams) -> Tiling:
     """Generate the ordered overlapping-square cover for the given parameters."""
     ys = _axis_coords(params.height, params.square_size, params.step)
     xs = _axis_coords(params.width, params.square_size, params.step)
-    squares = tuple((x, y) for y in ys for x in xs)
-    return Tiling(params, squares)
+    return Tiling(params, tuple(xs), tuple(ys))

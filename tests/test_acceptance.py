@@ -107,10 +107,9 @@ def literal_cover_period(height, width, size, overlap):
     def axis(length):
         coords = list(range(1, length - size + 1, params.step))
         coords.append(length - size)
-        return sorted(set(coords))
+        return tuple(sorted(set(coords)))
 
-    squares = tuple((x, y) for y in axis(height) for x in axis(width))
-    perm = build_oacm_permutation(Tiling(params, squares), 1, 1)
+    perm = build_oacm_permutation(Tiling(params, axis(width), axis(height)), 1, 1)
     return image_period(cycle_decompose(perm))
 
 

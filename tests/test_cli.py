@@ -351,12 +351,15 @@ class TestExitCodes:
             # 5000 digits is past Python's default limit for int <-> str conversion
             '{"square_size": 4, "overlap": 1, "p": 1, "q": 1, "iterations": %s}' % ("9" * 5000),
             "[" * 100_000 + "]" * 100_000,
+            # not UTF-8: a UTF-16 byte-order mark, and a byte that cannot start a UTF-8 character
+            b"\xff\xfe{}",
+            b'{"p": "\x80"}',
         ],
-        ids=["huge-number", "deep-nesting"],
+        ids=["huge-number", "deep-nesting", "utf16-bom", "not-utf8"],
     )
     def test_unreadable_key_exits_2(self, capsys, tmp_path, text):
         key = tmp_path / "key.json"
-        key.write_text(text)
+        key.write_bytes(text if isinstance(text, bytes) else text.encode())
         src, _ = make_image(tmp_path)
         code, _, err = run(capsys, "scramble", "--key", str(key), "--in", src,
                            "--out", str(tmp_path / "o.pnm"))

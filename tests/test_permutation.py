@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -95,12 +95,21 @@ class TestBuild:
         with pytest.raises(ParameterError):
             oacm_perm(4, 4, 2, 0, p=-1)
 
-    @pytest.mark.parametrize("corner", [(-10, 0), (8, 0), (-3, 0), (0, 5)])
+    @pytest.mark.parametrize("corner", [(-10, 0), (8, 0), (-3, 0), (0, 5), (7, 0), (0, 3), (0, -1)])
     def test_refuses_corner_outside_the_image(self, corner):
         # corners of a 4-square in a 6x10 image lie in [0, 6] x [0, 2]
-        tiling = Tiling(TilingParams(6, 10, 4, 0), ((0, 0), corner))
+        x, y = corner
         with pytest.raises(ParameterError, match="outside"):
-            build_oacm_permutation(tiling, 1, 1)
+            Tiling(TilingParams(6, 10, 4, 0), tuple(sorted({0, x})), tuple(sorted({0, y})))
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [((17, 4, 0), (2,)), ((0, 4, 4, 17), (2,)), ((0,), (2, 0)), ((0,), (1, 1))],
+        ids=["x-unsorted", "x-repeated", "y-unsorted", "y-repeated"],
+    )
+    def test_refuses_corners_not_strictly_ascending(self, xs, ys):
+        with pytest.raises(ParameterError, match="strictly ascending"):
+            Tiling(TilingParams(8, 20, 3, 0), xs, ys)
 
 
 class TestMatchesMaskReference:
@@ -111,7 +120,6 @@ class TestMatchesMaskReference:
         assert build_oacm_permutation(tiling, p, q) == mask_build_reference(tiling, p, q), config
 
     @given(arbitrary_tilings())
-    @example((Tiling(TilingParams(8, 20, 3, 0), ((17, 2), (4, 2), (0, 2), (4, 2))), 2, 3))
     def test_arbitrary_tilings(self, case):
         tiling, p, q = case
         assert build_oacm_permutation(tiling, p, q) == mask_build_reference(tiling, p, q), case
