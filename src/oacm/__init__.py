@@ -8,13 +8,7 @@ Exact periods, orbit histograms, similarity curves and the Landau-function
 period bound are computed from the same decomposition.
 """
 
-from .acm import (
-    AcmParams,
-    Mat2,
-    map_matrix,
-    mat_power_mod,
-    matrix_period,
-)
+from .acm import AcmParams, map_matrix, matrix_period
 from .analysis import (
     OrbitHistogram,
     SimilarityCurve,
@@ -69,7 +63,6 @@ __all__ = [
     "KeyConfig",
     "LandauResult",
     "MalformedHeaderError",
-    "Mat2",
     "OacmError",
     "OrbitHistogram",
     "ParameterError",
@@ -91,7 +84,6 @@ __all__ = [
     "landau_g",
     "mantissa_exponent",
     "map_matrix",
-    "mat_power_mod",
     "matrix_period",
     "orbit_histogram",
     "period_bound_for_image",

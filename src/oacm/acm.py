@@ -40,50 +40,23 @@ class AcmParams:
         object.__setattr__(self, "q", self.q % self.n)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix over Z_n, row-major entries (a, b; c, d)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"modulus must be >= 1, got {self.n}")
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % self.n)
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat2":
-        return cls(1, 0, 0, 1, n)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        if self.n != other.n:
-            raise ParameterError(f"modulus mismatch: {self.n} != {other.n}")
-        x, y = (self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)
-        return Mat2(*_mul(x, y, self.n), self.n)
+Matrix = tuple[int, int, int, int]  # row-major entries (a, b; c, d), each in [0, n)
 
 
-def map_matrix(params: AcmParams) -> Mat2:
+def map_matrix(params: AcmParams) -> Matrix:
     """The forward map as a matrix: [[1, p], [q, 1 + p*q]] mod n."""
     p, q, n = params.p, params.q, params.n
-    return Mat2(1, p, q, 1 + p * q, n)
+    return 1 % n, p, q, (1 + p * q) % n
 
 
-Entries = tuple[int, int, int, int]  # a Mat2's (a, b, c, d)
-
-
-def _mul(x: Entries, y: Entries, n: int) -> Entries:
+def _mul(x: Matrix, y: Matrix, n: int) -> Matrix:
     a, b, c, d = x
     e, f, g, h = y
     return (a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n
 
 
-def _power(m: Entries, z: int, n: int) -> Entries:
-    """The entries of m**z mod n for z >= 0, by square and multiply on plain ints."""
+def _power(m: Matrix, z: int, n: int) -> Matrix:
+    """m**z mod n for z >= 0, by square and multiply."""
     result = (1 % n, 0, 0, 1 % n)
     while z:
         if z & 1:
@@ -92,13 +65,6 @@ def _power(m: Entries, z: int, n: int) -> Entries:
         if z:
             m = _mul(m, m, n)
     return result
-
-
-def mat_power_mod(m: Mat2, z: int) -> Mat2:
-    """m**z with every intermediate product reduced mod n (square and multiply)."""
-    if z < 0:
-        raise ParameterError(f"exponent must be >= 0, got {z}")
-    return Mat2(*_power((m.a, m.b, m.c, m.d), z, m.n), m.n)
 
 
 def _factor(m: int) -> dict[int, int]:
@@ -133,8 +99,7 @@ def matrix_period(params: AcmParams) -> int:
     n = params.n
     if n > MAX_PERIOD_SIDE:
         raise ParameterError(f"lattice side {n} exceeds the limit {MAX_PERIOD_SIDE}")
-    m = map_matrix(params)
-    a, ident = (m.a, m.b, m.c, m.d), (1 % n, 0, 0, 1 % n)
+    a, ident = map_matrix(params), (1 % n, 0, 0, 1 % n)
     multiple = 1
     primes: set[int] = set()
     for p, e in _factor(n).items():

@@ -27,14 +27,16 @@ from .permutation import cycles_for
 from .tiling import TilingParams, square_locations
 
 
-def _add_tiling_args(parser: argparse.ArgumentParser, with_pq: bool = True) -> None:
+def _add_tiling_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--height", type=int, required=True, help="image height in pixels")
     parser.add_argument("--width", type=int, required=True, help="image width in pixels")
     parser.add_argument("--square-size", type=int, required=True, help="side of each square")
     parser.add_argument("--overlap", type=int, required=True, help="requested overlap in pixels")
-    if with_pq:
-        parser.add_argument("--p", type=int, default=1, help="map parameter p (default 1)")
-        parser.add_argument("--q", type=int, default=1, help="map parameter q (default 1)")
+
+
+def _add_map_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p", type=int, default=1, help="map parameter p (default 1)")
+    parser.add_argument("--q", type=int, default=1, help="map parameter q (default 1)")
 
 
 @contextmanager
@@ -107,22 +109,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("tile", help="print the square cover as JSON")
-    _add_tiling_args(sp, with_pq=False)
+    _add_tiling_args(sp)
     sp.add_argument("--out", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_tile)
 
     sp = sub.add_parser("period", help="exact image period for a configuration")
     _add_tiling_args(sp)
+    _add_map_args(sp)
     sp.set_defaults(func=cmd_period)
 
     sp = sub.add_parser("similarity", help="similarity-vs-iteration curve as CSV")
     _add_tiling_args(sp)
+    _add_map_args(sp)
     sp.add_argument("--kmax", type=int, required=True, help="last iteration to evaluate")
     sp.add_argument("--out", help="write CSV here instead of stdout")
     sp.set_defaults(func=cmd_similarity)
 
     sp = sub.add_parser("histogram", help="orbit-length histogram as CSV")
     _add_tiling_args(sp)
+    _add_map_args(sp)
     sp.add_argument("--out", help="write CSV here instead of stdout")
     sp.set_defaults(func=cmd_histogram)
 
@@ -132,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("acm-period", help="period of the plain cat-map matrix mod n")
     sp.add_argument("--n", type=int, required=True, help="lattice side")
-    sp.add_argument("--p", type=int, default=1)
-    sp.add_argument("--q", type=int, default=1)
+    _add_map_args(sp)
     sp.set_defaults(func=cmd_acm_period)
 
     for name, shift in (("scramble", scramble), ("descramble", descramble)):

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .permutation import CycleDecomposition, apply_iterations, cycles_for
-from .tiling import check_square
+from .tiling import check_pixels, check_square
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 _OTHER_NETPBM = {b"P1", b"P2", b"P3", b"P4", b"P7"}
@@ -42,19 +42,22 @@ class RasterImage:
     maxval: int = 255
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ParameterError(f"image dimensions must be >= 1, got {self.height}x{self.width}")
+        check_pixels(self.height, self.width)
         if self.channels not in (1, 3):
             raise ParameterError(f"channels must be 1 or 3, got {self.channels}")
         if not 1 <= self.maxval <= 255:
             raise ParameterError(f"maxval must be in [1, 255], got {self.maxval}")
-        samples = np.ascontiguousarray(self.samples, dtype=np.uint8)
-        object.__setattr__(self, "samples", samples)
+        samples = np.asarray(self.samples)
         expected = self.height * self.width * self.channels
         if samples.shape != (expected,):
             raise ParameterError(f"expected {expected} samples, got shape {samples.shape}")
-        if self.maxval < 255 and samples.max() > self.maxval:
-            raise ParameterError(f"a sample exceeds maxval {self.maxval}")
+        if samples.dtype.kind not in "iu":
+            raise ParameterError(f"samples must hold integers, got dtype {samples.dtype}")
+        # the cast below would wrap these silently; uint8 needs no scan at maxval 255
+        wide = samples.dtype != np.uint8
+        if wide and samples.min() < 0 or (wide or self.maxval < 255) and samples.max() > self.maxval:
+            raise ParameterError(f"samples must be in [0, maxval = {self.maxval}]")
+        object.__setattr__(self, "samples", np.ascontiguousarray(samples, dtype=np.uint8))
 
     def __eq__(self, other):
         if not isinstance(other, RasterImage):

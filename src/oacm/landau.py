@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .tiling import check_pixels
 
 DEFAULT_CEILING = 1920 * 1080
 
@@ -207,6 +208,5 @@ def landau_g(n: int) -> LandauResult:
 
 def period_bound_for_image(height: int, width: int) -> LandauResult:
     """Upper bound on any scramble period of a height x width image: g(pixels)."""
-    if height < 1 or width < 1:
-        raise ParameterError(f"image dimensions must be >= 1, got {height}x{width}")
+    check_pixels(height, width)
     return landau_g(height * width)

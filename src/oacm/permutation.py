@@ -36,7 +36,7 @@ class Permutation:
         object.__setattr__(self, "forward", fwd)
         if fwd.shape != (n,):
             raise ParameterError(f"forward must have shape ({n},), got {fwd.shape}")
-        if n and not 0 <= fwd.min() <= fwd.max() < n:
+        if not 0 <= fwd.min() <= fwd.max() < n:
             raise ParameterError(f"forward must take values in [0, {n})")
         seen = np.zeros(n, dtype=bool)
         seen[fwd] = True
@@ -99,15 +99,15 @@ def build_oacm_permutation(tiling: Tiling, p: int, q: int) -> Permutation:
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
     xs = tiling.xs
-    m = map_matrix(AcmParams(p, q, s))
+    a, b, c, d = map_matrix(AcmParams(p, q, s))
 
     # Walking the squares backwards, grid[y, x] is where the squares walked
     # so far send the pixel at (y, x): a block reads each slot's forward
     # image, through one local gather index shared by every square.
     lx = np.arange(s)
-    src = _outer_mod(m.d * lx % s, m.c * lx % s, s)
+    src = _outer_mod(d * lx % s, c * lx % s, s)
     src *= s
-    src += _outer_mod(m.b * lx % s, m.a * lx % s, s)
+    src += _outer_mod(b * lx % s, a * lx % s, s)
 
     # Every row's squares gather within its band, so a row acts on the band
     # as one gather: the row walked over an identity strip.
@@ -228,7 +228,7 @@ def _ruling_set(fwd: np.ndarray):
     # Every pixel no walker reached is a marker one step from its successor.
     # They are found a chunk at a time: at 1080x1920 one n-long mask left
     # the heap 7 MB larger at its peak, with the same live bytes.
-    chunks = range(0, max(n, 1), 1 << 18)  # one empty chunk when n is 0
+    chunks = range(0, n, 1 << 18)
     rest = np.concatenate([np.flatnonzero(code[i : i + (1 << 18)] != _REACHED) + i for i in chunks])
     markers = np.concatenate((heads, rest), dtype=np.int32)
     code[markers] = np.arange(markers.size, dtype=np.int32)  # now pixel -> marker id

@@ -22,7 +22,10 @@ _MAX_PIXELS = 2**31 - 1
 
 
 def check_pixels(height: int, width: int) -> None:
-    """Refuse an image with more pixels than int32 index scratch can address."""
+    """Refuse an image side below 1, or more pixels than int32 index scratch
+    can address."""
+    if height < 1 or width < 1:
+        raise ParameterError(f"image dimensions must be >= 1, got {height}x{width}")
     if height * width > _MAX_PIXELS:
         raise ParameterError(
             f"{height}x{width} = {height * width} pixels exceeds the limit of {_MAX_PIXELS}"
@@ -45,8 +48,6 @@ class TilingParams:
     overlap: int
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ParameterError(f"image dimensions must be >= 1, got {self.height}x{self.width}")
         check_pixels(self.height, self.width)
         check_square(self.square_size, self.overlap)
         if self.square_size > min(self.height, self.width):

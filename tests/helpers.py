@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oacm import (
     AcmParams,
     CycleDecomposition,
-    Mat2,
     ParameterError,
     Permutation,
     Tiling,
@@ -87,7 +86,7 @@ def mask_build_reference(tiling, p, q):
         raise ParameterError(f"p and q must be non-negative, got p={p}, q={q}")
     params = tiling.params
     h, w, s = params.height, params.width, params.square_size
-    mat = map_matrix(AcmParams(p, q, s))
+    a, b, c, d = map_matrix(AcmParams(p, q, s))
 
     xs, ys = np.meshgrid(np.arange(w, dtype=np.int64), np.arange(h, dtype=np.int64))
     xs = xs.ravel()
@@ -96,8 +95,8 @@ def mask_build_reference(tiling, p, q):
         inside = (xs >= x0) & (xs < x0 + s) & (ys >= y0) & (ys < y0 + s)
         lx = xs[inside] - x0
         ly = ys[inside] - y0
-        xs[inside] = x0 + (mat.a * lx + mat.b * ly) % s
-        ys[inside] = y0 + (mat.c * lx + mat.d * ly) % s
+        xs[inside] = x0 + (a * lx + b * ly) % s
+        ys[inside] = y0 + (c * lx + d * ly) % s
     return Permutation(h, w, ys * w + xs)
 
 
@@ -165,19 +164,28 @@ def arbitrary_tilings(draw, max_pixels=1024):
     return tiling, draw(st.integers(0, 5)), draw(st.integers(0, 5))
 
 
+def mat_mul(x, y, n):
+    """The 2x2 product x @ y mod n, on row-major 4-tuples: entry (i, j) is
+    the sum over k of x[i, k] * y[k, j]."""
+    return tuple(
+        sum(x[2 * i + k] * y[2 * k + j] for k in range(2)) % n for i in range(2) for j in range(2)
+    )
+
+
 def matrix_period_linear(params):
     """Smallest P >= 1 with A**P = I, by multiplying A up to 3n times.
 
     Oracle for matrix_period; the period never exceeds 3n (Dyson-Falk).
     """
+    n = params.n
     a = map_matrix(params)
-    ident = Mat2.identity(params.n)
+    ident = (1 % n, 0, 0, 1 % n)
     acc = ident
-    for k in range(1, 3 * params.n + 1):
-        acc = acc @ a
+    for k in range(1, 3 * n + 1):
+        acc = mat_mul(acc, a, n)
         if acc == ident:
             return k
-    raise AssertionError(f"no period within 3n for n = {params.n}")
+    raise AssertionError(f"no period within 3n for n = {n}")
 
 
 def landau_table_reference(n):

@@ -68,6 +68,15 @@ class TestRasterImage:
         with pytest.raises(ParameterError):
             RasterImage(1, 2, 1, np.array([3, 16], dtype=np.uint8), maxval=15)
 
+    @pytest.mark.parametrize(
+        "samples",
+        [np.array([0, 1, 2, 300]), np.array([0.7, 0, 0, 0]), np.array([-1, 0, 0, 0])],
+        ids=["above-255", "float", "negative"],
+    )
+    def test_rejects_samples_a_cast_would_change(self, samples):
+        with pytest.raises(ParameterError):
+            RasterImage(2, 2, 1, samples)
+
     def test_equality(self):
         a = gradient_image(3, 4, 1)
         b = gradient_image(3, 4, 1)
