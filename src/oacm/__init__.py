@@ -19,17 +19,8 @@ from .analysis import (
     write_histogram_csv,
     write_similarity_csv,
 )
-from .bigfmt import mantissa_exponent, scientific
-from .errors import (
-    ImageFormatError,
-    MalformedHeaderError,
-    OacmError,
-    ParameterError,
-    PeriodSearchError,
-    SampleRangeError,
-    TruncatedDataError,
-    UnsupportedFormatError,
-)
+from .bigfmt import scientific
+from .errors import ImageFormatError, OacmError, ParameterError, PeriodSearchError
 from .images import (
     KeyConfig,
     RasterImage,
@@ -39,12 +30,7 @@ from .images import (
     shift_pixels,
     write_image,
 )
-from .landau import (
-    DEFAULT_CEILING,
-    LandauResult,
-    landau_g,
-    period_bound_for_image,
-)
+from .landau import LandauResult, landau_g, period_bound_for_image
 from .permutation import (
     CycleDecomposition,
     Permutation,
@@ -58,23 +44,18 @@ from .tiling import Tiling, TilingParams, square_locations
 __all__ = [
     "AcmParams",
     "CycleDecomposition",
-    "DEFAULT_CEILING",
     "ImageFormatError",
     "KeyConfig",
     "LandauResult",
-    "MalformedHeaderError",
     "OacmError",
     "OrbitHistogram",
     "ParameterError",
     "PeriodSearchError",
     "Permutation",
     "RasterImage",
-    "SampleRangeError",
     "SimilarityCurve",
     "Tiling",
     "TilingParams",
-    "TruncatedDataError",
-    "UnsupportedFormatError",
     "apply_iterations",
     "build_oacm_permutation",
     "cycle_decompose",
@@ -82,7 +63,6 @@ __all__ = [
     "descramble",
     "image_period",
     "landau_g",
-    "mantissa_exponent",
     "map_matrix",
     "matrix_period",
     "orbit_histogram",

@@ -9,27 +9,18 @@ from __future__ import annotations
 from .errors import ParameterError
 
 
-def mantissa_exponent(value: int) -> tuple[int, int]:
-    """(mantissa in tenths, exponent): value ~ (tenths/10) * 10**exponent.
+def scientific(value: int) -> str:
+    """Format like 4.3e+826.
 
-    The mantissa is rounded half-up to two significant figures, so tenths
-    lies in [10, 99] and 9.97e5 reports as (10, 6).
+    The mantissa is rounded half-up to two significant figures, so 1349
+    reads 1.3e+3 and 9.97e5 reads 1.0e+6.
     """
     if value < 1:
         raise ParameterError(f"value must be a positive integer, got {value}")
     exponent = len(str(value)) - 1
-    if exponent == 0:
-        return value * 10, 0
-    unit = 10 ** (exponent - 1)
-    head, rem = divmod(value, unit)
-    tenths = head + (1 if 2 * rem >= unit else 0)
+    unit = 10**exponent
+    tenths, rem = divmod(10 * value, unit)
+    tenths += 2 * rem >= unit
     if tenths == 100:
-        tenths = 10
-        exponent += 1
-    return tenths, exponent
-
-
-def scientific(value: int) -> str:
-    """Format like 4.3e+826."""
-    tenths, exponent = mantissa_exponent(value)
+        tenths, exponent = 10, exponent + 1
     return f"{tenths // 10}.{tenths % 10}e+{exponent}"

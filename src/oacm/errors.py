@@ -19,20 +19,5 @@ class PeriodSearchError(OacmError, RuntimeError):
 
 
 class ImageFormatError(OacmError, ValueError):
-    """Base class for image decoding failures."""
-
-
-class MalformedHeaderError(ImageFormatError):
-    """The netpbm header could not be parsed."""
-
-
-class UnsupportedFormatError(ImageFormatError):
-    """The file is a recognizable image but not a supported variant."""
-
-
-class TruncatedDataError(ImageFormatError):
-    """The pixel payload is shorter than the header promises."""
-
-
-class SampleRangeError(ImageFormatError):
-    """A sample exceeds the maxval the header declares."""
+    """An image file is malformed, truncated, or a netpbm variant this
+    package does not read; the message names which."""

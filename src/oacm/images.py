@@ -13,13 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .acm import check_map_params
-from .errors import (
-    MalformedHeaderError,
-    ParameterError,
-    SampleRangeError,
-    TruncatedDataError,
-    UnsupportedFormatError,
-)
+from .errors import ImageFormatError, ParameterError
 from .permutation import CycleDecomposition, apply_iterations, cycles_for
 from .tiling import check_pixels, check_square
 
@@ -98,7 +92,9 @@ class KeyConfig:
         # UnicodeDecodeError) and a number past int's digit limit;
         # RecursionError, arrays or objects nested too deep
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_names)
+        except ParameterError:
+            raise
         except (ValueError, RecursionError) as exc:
             raise ParameterError(f"key file is not readable JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -121,14 +117,24 @@ class KeyConfig:
         return cls(**fields)
 
 
+def _unique_names(pairs):
+    # json.loads keeps the last of repeated names; a key must mean one thing
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ParameterError(f"key file repeats field {name!r}")
+        obj[name] = value
+    return obj
+
+
 def _parse_header(data: bytes):
     magic = data[:2]
     if magic in _OTHER_NETPBM:
-        raise UnsupportedFormatError(f"netpbm variant {magic.decode()} is not supported (P5/P6 only)")
+        raise ImageFormatError(f"netpbm variant {magic.decode()} is not supported (P5/P6 only)")
     if magic not in _MAGIC_CHANNELS:
-        raise MalformedHeaderError("not a binary netpbm file (missing P5/P6 magic)")
+        raise ImageFormatError("not a binary netpbm file (missing P5/P6 magic)")
     if not (data[2:3].isspace() or data[2:3] == b"#"):
-        raise MalformedHeaderError("missing whitespace after the magic number")
+        raise ImageFormatError("missing whitespace after the magic number")
     fields = []
     i = 2
     while len(fields) < 3:
@@ -146,27 +152,27 @@ def _parse_header(data: bytes):
         while i < len(data) and not (data[i : i + 1].isspace() or data[i : i + 1] == b"#"):
             i += 1
         if i == start:
-            raise MalformedHeaderError("header ended before width, height and maxval were read")
+            raise ImageFormatError("header ended before width, height and maxval were read")
         token = data[start:i]
         # ASCII digits only: int() alone would also take b"+4" and b"4_0"
         if not token.isdigit():
-            raise MalformedHeaderError(f"non-integer header field {token!r}")
+            raise ImageFormatError(f"non-integer header field {token!r}")
         try:
             fields.append(int(token))
         except ValueError:  # more digits than int() converts
-            raise MalformedHeaderError(f"header field of {len(token)} digits") from None
+            raise ImageFormatError(f"header field of {len(token)} digits") from None
     if data[i : i + 1] == b"#":  # a glued comment's newline ends the header
         i = data.find(b"\n", i)
     if not 0 <= i < len(data):
-        raise MalformedHeaderError("missing whitespace after maxval")
+        raise ImageFormatError("missing whitespace after maxval")
     i += 1  # exactly one whitespace byte separates header from raster
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise MalformedHeaderError(f"non-positive dimensions {width}x{height}")
+        raise ImageFormatError(f"non-positive dimensions {width}x{height}")
     if 256 <= maxval <= 65535:
-        raise UnsupportedFormatError(f"maxval {maxval} needs 16-bit samples; only 8-bit is supported")
+        raise ImageFormatError(f"maxval {maxval} needs 16-bit samples; only 8-bit is supported")
     if not 1 <= maxval <= 255:
-        raise MalformedHeaderError(f"maxval {maxval} out of range")
+        raise ImageFormatError(f"maxval {maxval} out of range")
     return _MAGIC_CHANNELS[magic], width, height, maxval, i
 
 
@@ -174,13 +180,20 @@ def read_image(path) -> RasterImage:
     data = Path(path).read_bytes()
     channels, width, height, maxval, offset = _parse_header(data)
     count = height * width * channels
-    raster = data[offset : offset + count]
+    raster = data[offset:]
     if len(raster) < count:
-        raise TruncatedDataError(f"raster holds {len(raster)} bytes, header promises {count}")
-    samples = np.frombuffer(raster, dtype=np.uint8)
-    if maxval < 255 and samples.max() > maxval:
-        raise SampleRangeError(f"a sample exceeds the header's maxval {maxval}")
-    return RasterImage(height, width, channels, samples, maxval)
+        raise ImageFormatError(f"raster holds {len(raster)} bytes, header promises {count}")
+    if len(raster) > count:
+        raise ImageFormatError(
+            f"{len(raster) - count} bytes follow the raster; multi-image streams are not supported"
+        )
+    # with the pixel count checked, a sample above maxval is all that
+    # RasterImage can still refuse, and that is the file's fault
+    check_pixels(height, width)
+    try:
+        return RasterImage(height, width, channels, np.frombuffer(raster, dtype=np.uint8), maxval)
+    except ParameterError as exc:
+        raise ImageFormatError(f"a sample exceeds the header's maxval {maxval}") from exc
 
 
 def write_image(img: RasterImage, path) -> None:

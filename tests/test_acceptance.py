@@ -34,7 +34,6 @@ from oacm import (
     descramble,
     image_period,
     landau_g,
-    mantissa_exponent,
     matrix_period,
     orbit_histogram,
     period_bound_for_image,
@@ -113,16 +112,20 @@ def literal_cover_period(height, width, size, overlap):
     return image_period(cycle_decompose(perm))
 
 
+def tenths_notation(tenths, exponent):
+    """(43, 826) -> "4.3e+826", the form scientific() prints."""
+    return f"{tenths // 10}.{tenths % 10}e+{exponent}"
+
+
 def check_cover_rows(rows, describe):
     failures = []
     for height, width, size, overlap, expected in rows:
         period = cover_period(height, width, size, overlap)
-        got = mantissa_exponent(period)
-        if got != expected:
+        got, want = scientific(period), tenths_notation(*expected)
+        if got != want:
             alt = literal_cover_period(height, width, size, overlap)
             failures.append(
-                f"{describe(height, width, size, overlap)}: got {scientific(period)}, "
-                f"expected {expected[0] / 10:.1f}e+{expected[1]}; "
+                f"{describe(height, width, size, overlap)}: got {got}, expected {want}; "
                 f"coordinates-from-1 reading gives {scientific(alt)}"
             )
     assert not failures, "\n".join(failures)
@@ -254,7 +257,7 @@ def test_small_cover_periods_respect_maximal_order_bound():
 
 def test_maximal_order_at_half_megapixel_and_large_cover_bounds():
     g_half_megapixel = landau_g(262144).g
-    assert mantissa_exponent(g_half_megapixel) == (43, 826)
+    assert scientific(g_half_megapixel) == tenths_notation(43, 826) == "4.3e+826"
     assert period_bound_for_image(512, 512).g == g_half_megapixel
     for w, h, expected in TWO_SQUARE_ROWS:
         assert cover_period(h, w, h, 2 * h - w) <= period_bound_for_image(h, w).g, (w, h)

@@ -367,6 +367,27 @@ class TestExitCodes:
         assert err.startswith("error: key file")
         assert not (tmp_path / "o.pnm").exists()
 
+    def test_repeated_key_field_exits_2(self, capsys, tmp_path):
+        key = tmp_path / "key.json"
+        key.write_text('{"square_size": 4, "overlap": 1, "p": 1, "q": 1, "iterations": 5, "p": 2}')
+        src, _ = make_image(tmp_path)
+        code, _, err = run(capsys, "scramble", "--key", str(key), "--in", src,
+                           "--out", str(tmp_path / "o.pnm"))
+        assert code == 2
+        assert err == "error: key file repeats field 'p'\n"
+        assert not (tmp_path / "o.pnm").exists()
+
+    def test_multi_image_stream_exits_3(self, capsys, tmp_path):
+        key = make_key(tmp_path, square_size=4, overlap=0)
+        src = tmp_path / "two.pgm"
+        image = b"P5\n4 4\n255\n" + bytes(range(16))
+        src.write_bytes(image + image)
+        code, _, err = run(capsys, "scramble", "--key", key, "--in", str(src),
+                           "--out", str(tmp_path / "o.pgm"))
+        assert code == 3
+        assert "multi-image streams are not supported" in err
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_missing_input_file(self, capsys, tmp_path):
         key = make_key(tmp_path)
         code, _, err = run(capsys, "scramble", "--key", key, "--in",

@@ -8,13 +8,8 @@ import pytest
 
 import oacm.landau
 from helpers import landau_g_bruteforce, landau_table_reference
-from oacm import (
-    DEFAULT_CEILING,
-    ParameterError,
-    landau_g,
-    period_bound_for_image,
-)
-from oacm.landau import _primes, _solve, _superchampion
+from oacm import ParameterError, landau_g, period_bound_for_image
+from oacm.landau import DEFAULT_CEILING, _primes, _solve, _superchampion
 
 
 def is_prime_power(m):
