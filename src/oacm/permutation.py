@@ -158,11 +158,9 @@ class CycleDecomposition:
 # pixel in 32.  A hash, not a stride: markers at multiples of 32 line up
 # with the cat map's lattice and leave most orbits without one.
 _MARKER_HASH = np.uint64(0x9E3779B97F4A7C15)
-# Steps a walker takes before it stops where it stands.
-_STEP_CAP = 256
-# The walk also stops once at most this many walkers are still out: each
-# step then costs about a dozen numpy calls' fixed overhead and moves
-# almost nothing, and _close finishes the paths left in log rounds.  On a
+# The walk stops once at most this many walkers are still out: each step
+# then costs about a dozen numpy calls' fixed overhead and moves almost
+# nothing, and _close finishes the paths left in log rounds.  On a
 # 2-core x86 host (numpy 2.4, medians of 21 interleaved calls), with 32,
 # 128 and 512 here: the 96x128 24/23 cover (p=2 q=3) decomposed in 1.64,
 # 1.21 and 1.15 ms, a 128x192 16/4 cover in 3.70, 3.05 and 3.72 ms, and a
@@ -203,7 +201,7 @@ def _ruling_set(fwd: np.ndarray):
     # there, and the others append their pixels to the trail.  A pixel has
     # one predecessor, so its code is read once: it is marked reached then.
     pos, walkers, step, t, bounds = heads, np.arange(heads.size, dtype=np.int32), 0, 0, [0]
-    while pos.size > _FEW_WALKERS and step < _STEP_CAP:
+    while pos.size > _FEW_WALKERS:
         step += 1
         here = pos
         pos = code.take(here)
@@ -286,10 +284,11 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
        becomes a marker and starts a walker.  numpy steps all walkers along
        forward in lock-step, appending each step's pixels and walkers to a
        trail.  A walker that steps onto the next marker records it and the
-       step there and stops.  The walk ends after _STEP_CAP steps, or once
-       at most _FEW_WALKERS walkers are out; a walker still out then stops
-       before its next pixel.  Walkers reach disjoint pixels: a pixel has
-       one predecessor, so each is marked reached when its code is read.
+       step there and stops.  The walk ends once at most _FEW_WALKERS
+       walkers are out; a walker still out then stops before its next
+       pixel.  Walkers reach disjoint pixels, as a pixel has one
+       predecessor and is marked reached when its code is read, so a step
+       reads over _FEW_WALKERS new pixels: at most n/129 steps are taken.
     2. Every pixel no walker reached becomes a marker one step from its
        successor.  This covers orbits without a hashed marker whatever the
        hash, and the rest of a path cut off where the walk ended.

@@ -30,7 +30,7 @@ from oacm import (
     matrix_period,
     square_locations,
 )
-from oacm.permutation import _FEW_WALKERS, _STEP_CAP, _is_hashed, _ruling_set
+from oacm.permutation import _FEW_WALKERS, _is_hashed, _ruling_set
 
 
 class TestPermutationType:
@@ -277,23 +277,28 @@ class TestMatchesWalkReference:
         assert_matches_walk(oacm_perm(257, 300, 40, 39, p=2, q=3))
 
     def test_cycles_through_unmarked_pixels(self, monkeypatch):
-        # Cycle x runs through the hashed pixels, then half the others: the
-        # walker from the first of those stops at the step cap, and the rest
-        # of that path becomes one-step markers.  Cycle y runs through the
-        # other half, holds no hashed pixel and so no walker, and becomes a
-        # cycle of one-step markers.  The walk runs to the cap however few
-        # walkers are out.
-        monkeypatch.setattr("oacm.permutation._FEW_WALKERS", 0)
+        # Cycle x runs h[0], 10 unhashed pixels (a), the other hashed pixels
+        # h[1:], then half the rest (b).  The walkers from a[0] and b[0] are
+        # out together until a's reaches h[2], a marker: the walk then ends
+        # with one walker out, and the rest of b becomes one-step markers.
+        # Cycle y runs through the other half, holds no hashed pixel and so
+        # no walker, and becomes a cycle of one-step markers.
+        monkeypatch.setattr("oacm.permutation._FEW_WALKERS", 1)
         n = 40 * 50
         hashed = _is_hashed(np.arange(n, dtype=np.uint64))
-        unhashed = np.flatnonzero(~hashed)[::-1]
-        half = unhashed.size // 2
-        assert half > _STEP_CAP + 1 and hashed.any()
+        h, unhashed = np.flatnonzero(hashed), np.flatnonzero(~hashed)[::-1]
+        half = (unhashed.size + 10) // 2
+        a, b = unhashed[:10], unhashed[10:half]
+        assert h.size > 2 and b.size > 20
         forward = np.empty(n, dtype=np.int64)
-        for seq in (np.concatenate((np.flatnonzero(hashed), unhashed[:half])), unhashed[half:]):
+        for seq in (np.concatenate((h[:1], a, h[1:], b)), unhashed[half:]):
             forward[seq] = np.roll(seq, -1)
-        gap = _ruling_set(forward)[2]
-        assert np.count_nonzero(gap == _STEP_CAP + 1) == 1
+        markers, _, gap, _, _, bounds = _ruling_set(forward)
+        steps = len(bounds) - 1
+        assert steps == a.size + 1
+        assert np.count_nonzero(gap == steps + 1) == 1
+        cut = np.isin(markers, b[steps + 1 :])
+        assert np.count_nonzero(cut) == b.size - steps - 1 and np.all(gap[cut] == 1)
         assert_matches_walk(Permutation(40, 50, forward))
 
     def test_walker_stops_on_its_first_step(self):
@@ -313,34 +318,56 @@ class TestMatchesWalkReference:
         assert_matches_walk(Permutation(40, 50, forward))
 
     def test_capped_walker_one_pixel_short_of_a_marker(self, monkeypatch):
-        # One cycle h0 -> m -> 255 unhashed pixels -> hx -> h0 with h0 and hx
-        # hashed: the walker from the marker m reaches hx, which is not a
-        # marker, at the step cap, and the pixel after it is the marker h0.
-        # The walk runs to the cap however few walkers are out.
-        monkeypatch.setattr("oacm.permutation._FEW_WALKERS", 0)
+        # Cycle h0 -> m -> 19 unhashed pixels -> hx -> h0 with h0 and hx
+        # hashed, and cycle h1 -> 19 unhashed pixels -> h1.  The walker from
+        # the marker m reaches hx, which is not a marker, at step 20, when
+        # the other walker steps onto its marker and leaves it the only one
+        # out; the pixel after hx is the marker h0.  The other hashed pixels
+        # are fixed, so their walkers stop on the first step.
+        monkeypatch.setattr("oacm.permutation._FEW_WALKERS", 1)
         n = 40 * 50
         hashed = _is_hashed(np.arange(n, dtype=np.uint64))
-        h0, hx = np.flatnonzero(hashed)[:2]
-        path = np.flatnonzero(~hashed)[: _STEP_CAP]
-        seq = np.concatenate(([h0], path, [hx]))
+        h0, hx, h1 = np.flatnonzero(hashed)[:3]
+        path, other = np.split(np.flatnonzero(~hashed)[:39], [20])
         forward = np.arange(n)
-        forward[seq] = np.roll(seq, -1)
-        markers, succ, gap = _ruling_set(forward)[:3]
+        for seq in (np.concatenate(([h0], path, [hx])), np.append(other, h1)):
+            forward[seq] = np.roll(seq, -1)
+        markers, succ, gap, _, _, bounds = _ruling_set(forward)
+        assert len(bounds) - 1 == path.size
         (node,) = np.flatnonzero(markers == path[0])
-        assert gap[node] == _STEP_CAP + 1
+        assert gap[node] == path.size + 1
         assert markers[succ[node]] == h0
         assert_matches_walk(Permutation(40, 50, forward))
 
     def test_walk_stops_with_few_walkers_out(self):
-        # The cover_analysis cover: the walk ends before the step cap with
-        # walkers still out, each stopped one step past the last one taken,
-        # before the pixel it would have read next.
+        # The cover_analysis cover: the walk ends with walkers still out,
+        # each stopped one step past the last one taken, before the pixel it
+        # would have read next.
         perm = oacm_perm(96, 128, 24, 23, p=2, q=3)
         _, _, gap, _, _, bounds = _ruling_set(perm.forward)
         steps = len(bounds) - 1
-        assert 0 < steps < _STEP_CAP
+        assert steps > 0
         assert (gap == steps + 1).any()
         assert_matches_walk(perm)
+
+    def test_walk_of_many_steps(self):
+        # One cycle: k hashed pixels, one more than _FEW_WALKERS, each
+        # followed by 290 unhashed ones, then the other hashed pixels back
+        # to back, then the rest.  The k walkers each take 291 steps to the
+        # next marker, so the walk runs that long: it ends on the number of
+        # walkers out, not on a count of steps.
+        h = w = 200
+        n, k = h * w, _FEW_WALKERS + 1
+        hashed = _is_hashed(np.arange(n, dtype=np.uint64))
+        long, rest = np.split(np.flatnonzero(~hashed), [k * 290])
+        first, others = np.split(np.flatnonzero(hashed), [k])
+        groups = np.column_stack((first, long.reshape(k, 290))).ravel()
+        seq = np.concatenate((groups, others, rest))
+        forward = np.empty(n, dtype=np.int64)
+        forward[seq] = np.roll(seq, -1)
+        bounds = _ruling_set(forward)[5]
+        assert len(bounds) - 1 == 291
+        assert_matches_walk(Permutation(h, w, forward))
 
     def test_no_step_with_few_hashed_pixels(self):
         # At most _FEW_WALKERS hashed pixels: no walker steps, and every
