@@ -180,18 +180,19 @@ def read_image(path) -> RasterImage:
     data = Path(path).read_bytes()
     channels, width, height, maxval, offset = _parse_header(data)
     count = height * width * channels
-    raster = data[offset:]
-    if len(raster) < count:
-        raise ImageFormatError(f"raster holds {len(raster)} bytes, header promises {count}")
-    if len(raster) > count:
+    size = len(data) - offset
+    if size < count:
+        raise ImageFormatError(f"raster holds {size} bytes, header promises {count}")
+    if size > count:
         raise ImageFormatError(
-            f"{len(raster) - count} bytes follow the raster; multi-image streams are not supported"
+            f"{size - count} bytes follow the raster; multi-image streams are not supported"
         )
     # with the pixel count checked, a sample above maxval is all that
     # RasterImage can still refuse, and that is the file's fault
     check_pixels(height, width)
+    raster = np.frombuffer(data, dtype=np.uint8, offset=offset)  # a view: no copy
     try:
-        return RasterImage(height, width, channels, np.frombuffer(raster, dtype=np.uint8), maxval)
+        return RasterImage(height, width, channels, raster, maxval)
     except ParameterError as exc:
         raise ImageFormatError(f"a sample exceeds the header's maxval {maxval}") from exc
 

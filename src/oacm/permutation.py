@@ -9,6 +9,8 @@ at O(1) cost per pixel regardless of z.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,9 +166,66 @@ _MARKER_HASH = np.uint64(0x9E3779B97F4A7C15)
 # 2-core x86 host (numpy 2.4, medians of 21 interleaved calls), with 32,
 # 128 and 512 here: the 96x128 24/23 cover (p=2 q=3) decomposed in 1.64,
 # 1.21 and 1.15 ms, a 128x192 16/4 cover in 3.70, 3.05 and 3.72 ms, and a
-# 256x256 64/16 cover in 3.92, 3.81 and 4.02 ms.
+# 256x256 64/16 cover in 3.92, 3.81 and 4.02 ms.  Two walker groups share
+# it, each stopping at half.
 _FEW_WALKERS = 128
 _REACHED = np.iinfo(np.int32).min  # code of a pixel some walker reached
+# Pixel scans run a chunk at a time: at 1080x1920 one n-long mask left the
+# heap 7 MB larger at its peak, with the same live bytes.
+_CHUNK = 1 << 18
+# Above this many pixels the walk, the placement and the shift run on two
+# threads, where the process may use two CPUs.  numpy releases the GIL in
+# their gathers and scatters; a thread costs about 0.2 ms to start and join.
+_PARALLEL_PX = 1 << 18
+
+
+def _groups(n: int) -> int:
+    """How many threads work on n pixels: two above _PARALLEL_PX when the
+    process may run on more than one CPU, else one."""
+    if n <= _PARALLEL_PX:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
+
+
+def _run(task, jobs: list[tuple]) -> list:
+    """task(*job) for each of one or two jobs, the second on a helper
+    thread.  What the helper raises is raised here once both are done."""
+    if len(jobs) == 1:
+        return [task(*jobs[0])]
+    results, failure = [None, None], []
+
+    def helper():
+        try:
+            results[1] = task(*jobs[1])
+        except BaseException as exc:  # handed to the caller's thread
+            failure.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        results[0] = task(*jobs[0])
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
+    return results
+
+
+def _parts(n: int, groups: int) -> list[slice]:
+    """[0, n) cut into `groups` runs of about equal length."""
+    cuts = [n * g // groups for g in range(groups + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _nonzero(test, n: int) -> np.ndarray:
+    """Indices i < n where test(i0, i1), over the chunk [i0, i1), holds."""
+    return np.concatenate(
+        [np.flatnonzero(test(i, min(i + _CHUNK, n))) + i for i in range(0, n, _CHUNK)]
+    )
 
 
 def _is_hashed(i: np.ndarray) -> np.ndarray:
@@ -176,32 +235,18 @@ def _is_hashed(i: np.ndarray) -> np.ndarray:
     return i < np.uint64(1 << 59)
 
 
-def _ruling_set(fwd: np.ndarray):
-    """Steps 1 and 2 of cycle_decompose.
+def _walk(code, pos, walkers, few, nxt, gap, trail, who, back) -> list[slice]:
+    """Step one group of walkers from pos in lock-step until at most few
+    are out, and return the trail runs of its steps in step order.
 
-    Returns per marker id its pixel (markers), the next marker (succ) and
-    the steps to it (gap); hashed markers come first, then the others, each
-    in pixel order.  The trail holds every other pixel: trail[x] is r steps
-    from marker who[x] for x in [bounds[r-1], bounds[r]).
+    A walker that steps onto a marker stops there and records it and its
+    step in nxt and gap; the others append their pixels and ids to one run
+    of trail and who, going up from 0, or down from the end if back.  A
+    pixel has one predecessor, so its code is read once, by one walker of
+    one group: it is marked reached then.
     """
-    n = fwd.size
-    # code[i] is fwd[i], or ~fwd[i] when fwd[i] is a marker (the successor
-    # of a hashed pixel): a step is one gather and a sign test.
-    hashed = np.flatnonzero(_is_hashed(np.arange(n, dtype=np.uint64)))
-    code = fwd.astype(np.int32)
-    heads = code[hashed]
-    code[hashed] = ~heads
-    heads.sort()
-    del hashed
-    trail = np.empty(n, dtype=np.int32)
-    who = np.empty(n, dtype=np.int32)
-    nxt = np.empty(heads.size, dtype=np.int32)
-    gap = np.empty(heads.size, dtype=np.int32)
-    # Walkers step in lock-step; a walker that steps onto a marker stops
-    # there, and the others append their pixels to the trail.  A pixel has
-    # one predecessor, so its code is read once: it is marked reached then.
-    pos, walkers, step, t, bounds = heads, np.arange(heads.size, dtype=np.int32), 0, 0, [0]
-    while pos.size > _FEW_WALKERS:
+    step, t, runs = 0, trail.size if back else 0, []
+    while pos.size > few:
         step += 1
         here = pos
         pos = code.take(here)
@@ -213,26 +258,62 @@ def _ruling_set(fwd: np.ndarray):
             gap[done] = step
             go = pos >= 0
             pos, walkers = pos[go], walkers[go]
-        trail[t : t + pos.size] = pos
-        who[t : t + pos.size] = walkers
-        t += pos.size
-        bounds.append(t)
+        run = slice(t - pos.size, t) if back else slice(t, t + pos.size)
+        t = run.start if back else run.stop
+        trail[run] = pos
+        who[run] = walkers
+        runs.append(run)
     # A walker still out stops before its next pixel.  No walker can reach
     # that pixel, so unless it is a marker it ends as one of its own.
-    nxt[walkers] = code[pos]
-    np.invert(nxt, out=nxt, where=nxt < 0)
+    last = code[pos]
+    nxt[walkers] = np.invert(last, out=last, where=last < 0)
     gap[walkers] = step + 1
     code[pos] = _REACHED
+    return runs
+
+
+def _ruling_set(fwd: np.ndarray, groups: int):
+    """Steps 1 and 2 of cycle_decompose, with the walkers dealt into groups
+    (one or two) that walk on threads of their own.
+
+    Returns per marker id its pixel (markers), the next marker (succ) and
+    the steps to it (gap); hashed markers come first, then the others, each
+    in pixel order.  The trail holds every other pixel a walker reached:
+    trail[run] is r steps from the markers who[run] for the r-th run of a
+    group's list in runs.
+    """
+    n = fwd.size
+    # code[i] is fwd[i], or ~fwd[i] when fwd[i] is a marker (the successor
+    # of a hashed pixel): a step is one gather and a sign test.
+    hashed = _nonzero(lambda i, j: _is_hashed(np.arange(i, j, dtype=np.uint64)), n)
+    code = fwd.astype(np.int32)
+    heads = code[hashed]
+    code[hashed] = ~heads
+    heads.sort()
+    del hashed
+    # Group g walks from the sorted heads g::groups.  The groups read
+    # disjoint pixels and write disjoint walker ids, and fill the trail
+    # from its two ends.  These cannot cross: a pixel is read once, and no
+    # marker is on the trail.  Both are cut from n-long arrays: freed, the
+    # two then hold the int64 order that cycle_decompose makes next.
+    trail = np.empty(n, dtype=np.int32)[: n - heads.size]
+    who = np.empty(n, dtype=np.int32)[: trail.size]
+    nxt = np.empty(heads.size, dtype=np.int32)
+    gap = np.empty(heads.size, dtype=np.int32)
+    ids = np.arange(heads.size, dtype=np.int32)
+    few = _FEW_WALKERS // groups
+    jobs = [
+        (code, heads[g::groups], ids[g::groups], few, nxt, gap, trail, who, g == 1)
+        for g in range(groups)
+    ]
+    runs = _run(_walk, jobs)
     # Every pixel no walker reached is a marker one step from its successor.
-    # They are found a chunk at a time: at 1080x1920 one n-long mask left
-    # the heap 7 MB larger at its peak, with the same live bytes.
-    chunks = range(0, n, 1 << 18)
-    rest = np.concatenate([np.flatnonzero(code[i : i + (1 << 18)] != _REACHED) + i for i in chunks])
+    rest = _nonzero(lambda i, j: code[i:j] != _REACHED, n)
     markers = np.concatenate((heads, rest), dtype=np.int32)
     code[markers] = np.arange(markers.size, dtype=np.int32)  # now pixel -> marker id
     succ = code[np.concatenate((nxt, fwd[rest]))]
     gap = np.concatenate((gap, np.ones(rest.size, dtype=np.int32)))
-    return markers, succ, gap, trail[:t], who[:t], bounds
+    return markers, succ, gap, trail, who, runs
 
 
 def _close(succ: np.ndarray, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,6 +370,10 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
        pixel.  Walkers reach disjoint pixels, as a pixel has one
        predecessor and is marked reached when its code is read, so a step
        reads over _FEW_WALKERS new pixels: at most n/129 steps are taken.
+       Above _PARALLEL_PX pixels on two CPUs, the walkers are dealt into two
+       groups that walk on two threads, each until at most _FEW_WALKERS/2
+       of its own are out (at most n/65 steps), and fill the one trail from
+       its two ends.
     2. Every pixel no walker reached becomes a marker one step from its
        successor.  This covers orbits without a hashed marker whatever the
        hash, and the rest of a path cut off where the walk ended.
@@ -296,25 +381,42 @@ def cycle_decompose(perm: Permutation) -> CycleDecomposition:
        labels each node with the smallest node of its cycle and ranks it by
        its slots from there (_close).  No Python loop runs per node: about
        log2 of the longest marker cycle numpy rounds do.
-    4. A trail pixel's slot is its marker's slot plus its rank, and one
-       scatter puts every pixel in its slot.  Each cycle is then one run of
-       slots along forward, in the order and from the node _close gives it.
+    4. A trail pixel's slot is its marker's slot plus its rank, and each
+       group scatters its part of the trail to its slots on its own thread.
+       Each cycle is then one run of slots along forward, in the order and
+       from the node _close gives it.  Where a walker stopped does not
+       change this layout: _close starts a cycle at its smallest node, the
+       hashed markers are numbered first in pixel order, and a cycle
+       without one is made of one-step markers, also numbered in pixel
+       order.
     """
     n = perm.forward.size
-    markers, succ, gap, trail, who, bounds = _ruling_set(perm.forward)
+    groups = _groups(n)
+    markers, succ, gap, trail, who, runs = _ruling_set(perm.forward, groups)
     first, cyc_start = _close(succ, gap)
     del succ, gap
-    # who becomes the slots in place, a run at a time: np.take on the whole
-    # trail would hold intp copies of it
-    for rank, (start, end) in enumerate(zip(bounds, bounds[1:]), 1):
-        first.take(who[start:end], out=who[start:end])
-        who[start:end] += rank
     walked = np.empty(n, dtype=np.int32)
-    walked[who] = trail
+    _run(_place, [(first, trail, who, walked, group_runs) for group_runs in runs])
     walked[first] = markers
     # freed now: medium arrays left between large ones fragment the heap
     del trail, who, markers, first
-    return CycleDecomposition(perm.height, perm.width, walked.astype(np.int64), cyc_start)
+    order = np.empty(n, dtype=np.int64)
+    _run(np.copyto, [(order[part], walked[part]) for part in _parts(n, groups)])
+    return CycleDecomposition(perm.height, perm.width, order, cyc_start)
+
+
+def _place(first, trail, who, walked, runs) -> None:
+    """Scatter a group's trail runs to their slots: a pixel r steps from its
+    marker sits r slots after it."""
+    # who becomes the slots in place, a run at a time: np.take on the whole
+    # trail would hold intp copies of it
+    for rank, run in enumerate(runs, 1):
+        slots = who[run]
+        first.take(slots, out=slots)
+        slots += rank
+    if runs:  # the group's runs are one span of the trail
+        span = slice(min(runs[0].start, runs[-1].start), max(runs[0].stop, runs[-1].stop))
+        walked[who[span]] = trail[span]
 
 
 def _rotation_index(starts: np.ndarray, turn: np.ndarray) -> np.ndarray:
@@ -351,7 +453,10 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
     moves to slot starts[c] + (i + z) mod lengths[c].  Each channel plane
     is gathered on its own, through one index of the pixel z steps behind
     every slot, and scattered back: an 8-bit plane stays in cache where a
-    buffer of whole rows does not.
+    buffer of whole rows does not.  Above _PARALLEL_PX pixels on two CPUs,
+    two planes are shifted at once, one per thread, and a plane left over
+    is shifted in two halves of its slots, one per thread; the halves'
+    destinations are disjoint, as order is a permutation.
     """
     src = np.asarray(src)
     n = cycles.height * cycles.width
@@ -361,12 +466,39 @@ def apply_iterations(cycles: CycleDecomposition, z: int, src: np.ndarray) -> np.
     turn = np.array([-z % int(d) for d in distinct], dtype=np.int64)[inv]
     source = cycles.order[_rotation_index(cycles.starts, turn)]
     out = np.empty_like(src)
-    plane, moved = np.empty((2, n), dtype=src.dtype)
-    for channel in np.ndindex(src.shape[1:]):
-        column = (slice(None), *channel)
-        # "clip" writes straight into plane: source is in range
-        np.take(src[column], source, out=plane, mode="clip")
-        moved[cycles.order] = plane
-        out[column] = moved
+    groups = _groups(n)
+    columns = [(slice(None), *channel) for channel in np.ndindex(src.shape[1:])]
+    work = np.empty((groups, 2, n), dtype=src.dtype)  # a thread's plane of slots and of pixels
+    # Whole planes first: two threads scattering into one plane write to
+    # the same cache lines.  At 1080x1920 RGB the gathers and scatters took
+    # 0.9 times their one-thread time in halves of every plane, and 0.7 as
+    # two planes at once and then halves of the third.
+    whole = len(columns) - len(columns) % groups
+    for k in range(0, whole, groups):
+        batch = columns[k : k + groups]
+        _run(_shift_plane, [(src[c], source, cycles.order, *work[g]) for g, c in enumerate(batch)])
+        for g, c in enumerate(batch):
+            out[c] = work[g, 1]
+    if whole < len(columns):
+        # both halves read the plane's pixels, so they scatter into a third
+        (plane, values), (_, moved) = work
+        values[...] = src[columns[-1]]
+        parts = _parts(n, groups)
+        _run(_shift_slots, [(values, source[p], plane[p], moved, cycles.order[p]) for p in parts])
+        out[columns[-1]] = moved
     return out
 
+
+def _shift_plane(pixels, source, order, plane, moved) -> None:
+    """Shift one channel plane: copy its pixels into moved, gather them
+    into plane and scatter them back into moved."""
+    moved[...] = pixels
+    _shift_slots(moved, source, plane, moved, order)
+
+
+def _shift_slots(values, source, plane, moved, order) -> None:
+    """Fill a run of slots of one plane from the pixels z steps behind them
+    and scatter it back to those slots' pixels."""
+    # "clip" writes straight into plane: source is in range
+    np.take(values, source, out=plane, mode="clip")
+    moved[order] = plane

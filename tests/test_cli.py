@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import random
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +441,30 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "error: out of memory: Unable to allocate 298. GiB for an array\n"
+
+    def test_memory_error_on_the_helper_thread_exits_4(self, capsys, monkeypatch, tmp_path):
+        # at photo size on two CPUs the walk's second group runs on a
+        # helper thread; what it raises ends the command like the caller's
+        walk = oacm.permutation._walk
+
+        def walk_on_main_thread_only(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError
+            return walk(*args)
+
+        monkeypatch.setattr(oacm.permutation, "_walk", walk_on_main_thread_only)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        src, out_path = tmp_path / "photo.ppm", tmp_path / "out.ppm"
+        write_image(RasterImage(1080, 1920, 3, np.zeros(1080 * 1920 * 3, dtype=np.uint8)), src)
+        key = make_key(tmp_path, square_size=1080, overlap=240)
+        code, out, err = run(
+            capsys, "scramble", "--key", key, "--in", str(src), "--out", str(out_path)
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: out of memory\n"
+        assert not out_path.exists()
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

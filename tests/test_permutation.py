@@ -1,5 +1,10 @@
 """One-pass permutation construction, cycle structure, fast iteration."""
 
+import os
+import sys
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -30,7 +35,18 @@ from oacm import (
     matrix_period,
     square_locations,
 )
-from oacm.permutation import _FEW_WALKERS, _is_hashed, _ruling_set
+from oacm.permutation import _FEW_WALKERS, _groups, _is_hashed, _ruling_set, _run
+
+
+@contextmanager
+def walker_groups(count):
+    """cycle_decompose and apply_iterations split into count (1 or 2)
+    groups at any size, as on a host of count CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("oacm.permutation._PARALLEL_PX", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        mp.setattr(os, "cpu_count", lambda: count)
+        yield
 
 
 class TestPermutationType:
@@ -239,10 +255,19 @@ def orbit_lengths(cycles):
 
 def assert_matches_walk(perm):
     """The reference's orbits: the same cycles, each possibly rotated and in
-    another order, which cycle_decompose does not fix."""
-    got = cycle_decompose(perm)
-    assert_runs_follow_forward(got, perm)
-    assert np.array_equal(orbit_lengths(got), orbit_lengths(walk_decompose_reference(perm)))
+    another order, which cycle_decompose does not fix.  Walked by one walker
+    group and by two on two threads, bit for bit the same layout."""
+    expect = orbit_lengths(walk_decompose_reference(perm))
+    layouts = []
+    for count in (1, 2):
+        with walker_groups(count):
+            got = cycle_decompose(perm)
+        assert_runs_follow_forward(got, perm)
+        assert np.array_equal(orbit_lengths(got), expect)
+        layouts.append(got)
+    alone, split = layouts
+    assert np.array_equal(split.order, alone.order)
+    assert np.array_equal(split.starts, alone.starts)
 
 
 class TestMatchesWalkReference:
@@ -293,8 +318,8 @@ class TestMatchesWalkReference:
         forward = np.empty(n, dtype=np.int64)
         for seq in (np.concatenate((h[:1], a, h[1:], b)), unhashed[half:]):
             forward[seq] = np.roll(seq, -1)
-        markers, _, gap, _, _, bounds = _ruling_set(forward)
-        steps = len(bounds) - 1
+        markers, _, gap, _, _, (runs,) = _ruling_set(forward, 1)
+        steps = len(runs)
         assert steps == a.size + 1
         assert np.count_nonzero(gap == steps + 1) == 1
         cut = np.isin(markers, b[steps + 1 :])
@@ -311,7 +336,7 @@ class TestMatchesWalkReference:
         seq = np.concatenate(([h1, h2], np.flatnonzero(~hashed)[:10]))
         forward = np.arange(n)
         forward[seq] = np.roll(seq, -1)
-        markers, succ, gap = _ruling_set(forward)[:3]
+        markers, succ, gap = _ruling_set(forward, 1)[:3]
         (node,) = np.flatnonzero(markers == h2)
         assert gap[node] == 1
         assert markers[succ[node]] == seq[2]
@@ -332,8 +357,8 @@ class TestMatchesWalkReference:
         forward = np.arange(n)
         for seq in (np.concatenate(([h0], path, [hx])), np.append(other, h1)):
             forward[seq] = np.roll(seq, -1)
-        markers, succ, gap, _, _, bounds = _ruling_set(forward)
-        assert len(bounds) - 1 == path.size
+        markers, succ, gap, _, _, (runs,) = _ruling_set(forward, 1)
+        assert len(runs) == path.size
         (node,) = np.flatnonzero(markers == path[0])
         assert gap[node] == path.size + 1
         assert markers[succ[node]] == h0
@@ -344,8 +369,8 @@ class TestMatchesWalkReference:
         # each stopped one step past the last one taken, before the pixel it
         # would have read next.
         perm = oacm_perm(96, 128, 24, 23, p=2, q=3)
-        _, _, gap, _, _, bounds = _ruling_set(perm.forward)
-        steps = len(bounds) - 1
+        _, _, gap, _, _, (runs,) = _ruling_set(perm.forward, 1)
+        steps = len(runs)
         assert steps > 0
         assert (gap == steps + 1).any()
         assert_matches_walk(perm)
@@ -365,8 +390,8 @@ class TestMatchesWalkReference:
         seq = np.concatenate((groups, others, rest))
         forward = np.empty(n, dtype=np.int64)
         forward[seq] = np.roll(seq, -1)
-        bounds = _ruling_set(forward)[5]
-        assert len(bounds) - 1 == 291
+        (runs,) = _ruling_set(forward, 1)[5]
+        assert len(runs) == 291
         assert_matches_walk(Permutation(h, w, forward))
 
     def test_no_step_with_few_hashed_pixels(self):
@@ -375,8 +400,8 @@ class TestMatchesWalkReference:
         n = 40 * 50
         assert np.count_nonzero(_is_hashed(np.arange(n, dtype=np.uint64))) <= _FEW_WALKERS
         perm = Permutation(40, 50, np.random.default_rng(3).permutation(n))
-        _, _, gap, _, _, bounds = _ruling_set(perm.forward)
-        assert bounds == [0]
+        _, _, gap, _, _, (runs,) = _ruling_set(perm.forward, 1)
+        assert runs == []
         assert np.all(gap == 1)
         assert_matches_walk(perm)
 
@@ -394,6 +419,118 @@ class TestMatchesWalkReference:
         for seq in (unhashed, rest[300:900], rest[900:], *rest[100:300].reshape(-1, 2)):
             forward[seq] = np.roll(seq, -1)
         assert_matches_walk(Permutation(30, 40, forward))
+
+
+class TestTwoGroups:
+    def test_groups_by_size_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _groups(1 << 18) == 1
+        assert _groups((1 << 18) + 1) == 2
+        assert _groups(1080 * 1920) == 2
+
+    def test_one_cpu_runs_one_group_and_no_thread(self, monkeypatch):
+        # a process confined to one CPU, say by taskset -c 0
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr("oacm.permutation._PARALLEL_PX", 0)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        perm = oacm_perm(60, 90, 3, 0)
+        assert _groups(perm.forward.size) == 1
+        cycles = cycle_decompose(perm)
+        assert_runs_follow_forward(cycles, perm)
+        src = np.random.default_rng(2).integers(0, 256, (5400, 3), dtype=np.uint8)
+        expect = np.empty_like(src)
+        expect[perm.forward] = src
+        assert np.array_equal(apply_iterations(cycles, 1, src), expect)
+
+    def test_helper_failure_is_raised_by_the_caller(self):
+        def task(fail):
+            if fail:
+                raise MemoryError("helper")
+            return threading.current_thread()
+
+        with pytest.raises(MemoryError, match="helper"):
+            _run(task, [(False,), (True,)])
+        caller, helper = _run(task, [(False,), (False,)])
+        assert caller is threading.current_thread()
+        assert helper is not caller
+
+    @pytest.mark.parametrize("long_group", [0, 1])
+    def test_one_group_walks_every_long_path(self, monkeypatch, long_group):
+        # One cycle of blocks h, s, l, path, with h and s hashed: s is a
+        # marker whose walker steps onto the marker l at once, and l's
+        # walker walks its path and the next h up to the next s.  Sorted,
+        # the markers alternate between the s and the l, so every l is in
+        # group long_group and every s in the other.  With no walker left
+        # out at the end, the l walkers' runs fill the whole trail, from
+        # their end of it up to the other group's end, which has not moved.
+        monkeypatch.setattr("oacm.permutation._FEW_WALKERS", 1)
+        h, w = 50, 60  # 94 hashed pixels: 47 blocks
+        n = h * w
+        hashed = _is_hashed(np.arange(n, dtype=np.uint64))
+        hs, unhashed = np.flatnonzero(hashed), np.flatnonzero(~hashed)
+        k = hs.size // 2
+        assert hs.size == 2 * k
+        starts, shorts = hs[0::2], hs[1::2]
+        # l is the first unhashed pixel after its own s, or after the s before
+        after = shorts if long_group else np.concatenate(([-1], shorts[:-1]))
+        longs = unhashed[np.searchsorted(unhashed, after, side="right")]
+        paths = np.array_split(np.setdiff1d(unhashed, longs), k)
+        blocks = zip(starts, shorts, longs, paths)
+        seq = np.concatenate([[a, b, c, *path] for a, b, c, path in blocks])
+        forward = np.empty(n, dtype=np.int64)
+        forward[seq] = np.roll(seq, -1)
+
+        markers, _, gap, trail, _, runs = _ruling_set(forward, 2)
+        assert markers.size == 2 * k and trail.size == n - 2 * k
+        assert np.array_equal(markers[long_group::2], longs)
+        assert np.array_equal(markers[1 - long_group :: 2], shorts)
+        assert np.all(gap[1 - long_group :: 2] == 1)
+        meet = trail.size if long_group == 0 else 0
+        assert runs[1 - long_group] == [slice(meet, meet)]
+        filled = np.concatenate([np.arange(trail.size)[run] for run in runs[long_group]])
+        assert np.array_equal(np.sort(filled), np.arange(trail.size))
+        assert_matches_walk(Permutation(h, w, forward))
+
+    @pytest.mark.parametrize(
+        "config", [(60, 90, 3, 0), (64, 96, 16, 4, 2, 3), (50, 70, 50, 20)]
+    )
+    def test_shift_on_two_threads(self, config):
+        # one plane goes in two halves, an even count in pairs, an odd one
+        # in pairs and then two halves
+        perm = oacm_perm(*config)
+        n = perm.forward.size
+        rng = np.random.default_rng(4)
+        for z in (1, 7, -3):
+            naive = np.arange(n)
+            for _ in range(abs(z)):
+                naive = (perm.forward if z > 0 else invert(perm).forward)[naive]
+            for shape in ((n,), (n, 2), (n, 3)):
+                src = rng.integers(0, 256, shape, dtype=np.uint8)
+                expect = np.empty_like(src)
+                expect[naive] = src
+                for count in (1, 2):
+                    with walker_groups(count):
+                        out = apply_iterations(cycle_decompose(perm), z, src)
+                    assert np.array_equal(out, expect)
+
+    def test_matches_one_group_under_a_short_switch_interval(self):
+        # the groups share code, nxt, gap, trail and who; a lost or crossed
+        # write would change the layout
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with walker_groups(2):
+                for seed in range(10):
+                    forward = np.random.default_rng(seed).permutation(120 * 160)
+                    assert_matches_walk(Permutation(120, 160, forward))
+                assert_matches_walk(oacm_perm(120, 160, 16, 4))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestApplyIterations:
